@@ -15,7 +15,7 @@ int g_default_jobs = 0;  ///< harness-wide --jobs value, 0 = unset
 void set_default_jobs(int jobs) { g_default_jobs = jobs > 0 ? jobs : 0; }
 
 int default_jobs() {
-  return ParallelRunner::resolve_jobs(g_default_jobs, ParallelRunner::hardware_jobs());
+  return resolve_jobs(g_default_jobs, hardware_jobs());
 }
 
 Options Options::parse(int argc, char** argv, int default_scale, Caps caps) {

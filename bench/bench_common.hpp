@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,12 +22,21 @@ int default_jobs();
 void set_default_jobs(int jobs);
 
 /// Run independent simulation tasks concurrently (each task is a complete
-/// Study; they share no state). Results are returned in submission order, so
-/// callers print deterministic tables. Worker count defaults to
-/// default_jobs(); the heavy lifting lives in dfly::ParallelRunner.
+/// Study; they share no state) on a private dfly::SubmissionQueue of
+/// `threads` workers (default: default_jobs()), never more than there are
+/// tasks. Results are returned in submission order, so callers print
+/// deterministic tables. Every task runs; if any threw, throws
+/// std::runtime_error carrying the per-worker failure summary.
 template <typename T>
 std::vector<T> parallel_map(const std::vector<std::function<T()>>& tasks, int threads = 0) {
-  return ParallelRunner(threads > 0 ? threads : default_jobs()).map(tasks);
+  std::vector<T> results(tasks.size());
+  if (tasks.empty()) return results;
+  const std::size_t jobs = static_cast<std::size_t>(threads > 0 ? threads : default_jobs());
+  SubmissionQueue queue(static_cast<int>(std::min(jobs, tasks.size())));
+  WorkerErrors errors;
+  queue.run_indexed(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); }, &errors);
+  if (errors.any()) throw std::runtime_error(errors.summary());
+  return results;
 }
 
 /// Common command-line options for the experiment harnesses.
@@ -35,7 +46,7 @@ std::vector<T> parallel_map(const std::vector<std::function<T()>>& tasks, int th
 ///   --routing=NAME   restrict to one routing (default: the paper's four)
 ///   --jobs=N         worker threads for independent cells (default:
 ///                    DFSIM_JOBS, else all cores, memory-capped — see
-///                    ParallelRunner::memory_jobs_cap)
+///                    memory_jobs_cap)
 ///   --no-arena       disable per-worker arena storage reuse (cells rebuild
 ///                    from scratch; output is identical either way)
 ///   --no-blueprint   disable cross-cell sharing of the immutable

@@ -28,15 +28,8 @@ int main(int argc, char** argv) {
   run_plan(plan, sink, bench::default_jobs());
 
   // Expansion per routing: the full mix first, then each solo baseline in
-  // table2_mix order — regroup the flat cell list into per-routing suites.
+  // table2_mix order.
   const std::size_t stride = 1 + table2_mix().size();
-  std::vector<MixedSuite> suites(routings.size());
-  for (std::size_t r = 0; r < routings.size(); ++r) {
-    suites[r].mix = sink.reports()[r * stride];
-    for (std::size_t a = 1; a < stride; ++a) {
-      suites[r].solos.push_back(sink.reports()[r * stride + a]);
-    }
-  }
 
   bench::print_header("Figure 10 / Table II — mixed workload comm time (ms): alone vs mixed");
   std::printf("Table II job sizes:");
@@ -46,12 +39,12 @@ int main(int argc, char** argv) {
   bench::print_rule();
 
   for (std::size_t r = 0; r < routings.size(); ++r) {
-    const Report& mixed = suites[r].mix;
+    const Report& mixed = sink.reports()[r * stride];
     double interference_sum = 0;
     int interference_count = 0;
     for (std::size_t a = 0; a < table2_mix().size(); ++a) {
       const auto& spec = table2_mix()[a];
-      const Report& solo = suites[r].solos[a];
+      const Report& solo = sink.reports()[r * stride + 1 + a];
       const AppReport& alone = solo.app(spec.app);
       const AppReport& in_mix = mixed.app(spec.app);
       std::printf("%-10s %-10s %12.3f %12.3f %12.3f %12.3f  (%+.1f%%)\n",

@@ -1,7 +1,7 @@
 // Memory / allocation bench: per-cell startup cost of a multi-cell FFT3D
 // sweep across three modes — fresh builds, per-worker arena reuse, and
 // arena reuse + cross-cell SystemBlueprint sharing (the production
-// ParallelRunner path).
+// SubmissionQueue path).
 //
 // Reports, per mode: wall time per cell, heap allocations per cell (counted
 // by a global operator-new override in this binary), and the process peak
@@ -131,7 +131,7 @@ PhaseMetrics run_phase(const StudyConfig& base, const std::string& app, int node
                        std::uint64_t base_seed, SimArena* arena,
                        BlueprintCache* cache = nullptr) {
   // With a cache bound, every cell of the phase shares one immutable plan
-  // (what ParallelRunner workers see); without one, each Study builds a
+  // (what SubmissionQueue workers see); without one, each Study builds a
   // private blueprint — the pre-sharing per-cell constant.
   ScopedBlueprintCacheBinding binding(cache);
   PhaseMetrics phase;

@@ -19,7 +19,7 @@
 /// Every paper figure is a sweep of independent (config, seed) cells, and
 /// each cell historically rebuilt its Study — engine heap, packet pool,
 /// router/NIC buffers, stats vectors — from scratch. A SimArena owns that
-/// backing storage across cells: a ParallelRunner worker binds one arena for
+/// backing storage across cells: a SubmissionQueue worker binds one arena for
 /// its lifetime, the first cell grows the storage to its peak, and every
 /// later cell of a similar shape re-initialises in place instead of
 /// re-growing from empty. Reuse is carried by the containers themselves
@@ -144,7 +144,7 @@ class SimArena {
   const ArenaStats& stats() const { return stats_; }
 
   /// The arena bound to the calling thread (nullptr when none is bound or
-  /// arena reuse is globally disabled). ParallelRunner binds one per worker;
+  /// arena reuse is globally disabled). SubmissionQueue binds one per worker;
   /// Study picks it up automatically.
   static SimArena* current();
 

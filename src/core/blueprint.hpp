@@ -33,7 +33,7 @@
 /// pool, NetConfig/protocol/QoS/fault plan, and the routing factory's static
 /// parameterisation (including Q-adaptive's unloaded initial estimates) —
 /// into one hash-keyed snapshot built once per unique shape and shared
-/// across ParallelRunner workers via shared_ptr.
+/// across SubmissionQueue workers via shared_ptr.
 ///
 /// Blueprints are deeply immutable after build(): nothing in this class
 /// mutates during a run (const-enforced), so concurrent cells can read one
@@ -143,7 +143,7 @@ class SystemBlueprint {
 };
 
 /// Concurrent blueprint cache: one instance is shared by every worker of a
-/// ParallelRunner call, so all cells of the same shape get the same
+/// SubmissionQueue, so all cells of the same shape get the same
 /// shared_ptr. get_or_build holds the lock across a build — the common race
 /// is every worker asking for the *same* first shape, and blocking the
 /// others is exactly what prevents duplicate builds.
@@ -165,7 +165,7 @@ class BlueprintCache {
   std::size_t size() const;
 
   /// The cache bound to the calling thread (nullptr when none is bound or
-  /// blueprint sharing is globally disabled at bind time). ParallelRunner
+  /// blueprint sharing is globally disabled at bind time). SubmissionQueue
   /// binds one cache across all its workers; Study picks it up automatically.
   static BlueprintCache* current();
 

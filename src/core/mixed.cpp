@@ -1,8 +1,7 @@
 #include "core/mixed.hpp"
 
-#include <utility>
+#include <memory>
 
-#include "core/plan.hpp"
 #include "workloads/factory.hpp"
 
 namespace dfly {
@@ -51,36 +50,6 @@ Report run_mixed_solo(const StudyConfig& config, const std::string& solo_app) {
     }
   }
   return study.run();
-}
-
-std::vector<MixedSuite> run_mixed_suites(const std::vector<StudyConfig>& configs, int jobs) {
-  // Shim over the unified campaign core: one mixed-mode plan whose
-  // config_list is the caller's configs. Expansion flattens (config, cell)
-  // into one task list so worker threads stay busy across routings — cell 0
-  // of each suite is the full mix, cells 1..N the solo baselines in
-  // table2_mix order, matching the pre-plan stride layout exactly.
-  if (configs.empty()) return {};
-  ExperimentPlan plan;
-  plan.name = "mixed_suites";
-  plan.mode = PlanMode::kMixed;
-  plan.config_list = configs;
-  plan.mixed_solos = true;
-  CollectSink sink;
-  // Legacy fail-fast contract: callers of this shim predate cell isolation
-  // and expect the first cell exception to propagate.
-  run_plan(plan, sink, jobs).rethrow_any();
-  std::vector<Report> reports = sink.take_reports();
-
-  const std::size_t stride = 1 + table2_mix().size();
-  std::vector<MixedSuite> suites(configs.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    suites[c].mix = std::move(reports[c * stride]);
-    suites[c].solos.reserve(stride - 1);
-    for (std::size_t a = 1; a < stride; ++a) {
-      suites[c].solos.push_back(std::move(reports[c * stride + a]));
-    }
-  }
-  return suites;
 }
 
 }  // namespace dfly

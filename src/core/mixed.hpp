@@ -29,22 +29,4 @@ Report run_mixed(const StudyConfig& config);
 /// `solo_app` alone on the network.
 Report run_mixed_solo(const StudyConfig& config, const std::string& solo_app);
 
-/// Everything one Fig 10 panel column needs for one routing: the full
-/// Table II mix plus each application's solo baseline (table2_mix order).
-struct MixedSuite {
-  Report mix;
-  std::vector<Report> solos;
-};
-
-/// Run the mix and all solo baselines for every config, sharding the
-/// independent cells across worker threads (ParallelRunner semantics:
-/// jobs > 0 = exact count, 0 = DFSIM_JOBS or sequential). Suites are
-/// returned in config order; results are independent of worker count.
-///
-/// Deprecated-but-working shim: now a thin builder over the unified
-/// campaign core (core/plan.hpp — a mixed ExperimentPlan whose config_list
-/// is `configs`). New code should build an ExperimentPlan directly and use
-/// run_plan.
-std::vector<MixedSuite> run_mixed_suites(const std::vector<StudyConfig>& configs, int jobs = 0);
-
 }  // namespace dfly

@@ -1,9 +1,5 @@
 #include "core/pairwise.hpp"
 
-#include <utility>
-
-#include "core/plan.hpp"
-
 namespace dfly {
 
 PairwiseResult run_pairwise(const StudyConfig& config, const std::string& target,
@@ -25,38 +21,6 @@ PairwiseResult run_pairwise(const StudyConfig& config, const std::string& target
     result.background_report = result.full.apps[static_cast<std::size_t>(background_id)];
   }
   return result;
-}
-
-std::vector<PairwiseResult> run_pairwise_cells(const StudyConfig& base,
-                                               const std::vector<PairwiseCell>& cells,
-                                               int jobs) {
-  // Shim over the unified campaign core: the explicit cell list becomes a
-  // pairwise plan (pairwise_list preserves the caller's ordering verbatim),
-  // and the PairwiseResult views are reconstructed from the full Reports —
-  // the target is always app 0 and the background, when present, app 1,
-  // exactly as run_pairwise builds them.
-  ExperimentPlan plan;
-  plan.name = "pairwise_cells";
-  plan.base = base;
-  plan.mode = PlanMode::kPairwise;
-  plan.pairwise_list = cells;
-  CollectSink sink;
-  // Legacy fail-fast contract: callers of this shim predate cell isolation
-  // and expect the first cell exception to propagate.
-  run_plan(plan, sink, jobs).rethrow_any();
-  std::vector<Report> reports = sink.take_reports();
-
-  std::vector<PairwiseResult> results(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    PairwiseResult& result = results[i];
-    result.full = std::move(reports[i]);
-    result.routing = cells[i].routing.empty() ? base.routing : cells[i].routing;
-    result.target = cells[i].target;
-    result.background = cells[i].background.empty() ? "None" : cells[i].background;
-    result.target_report = result.full.apps.at(0);
-    if (result.full.apps.size() > 1) result.background_report = result.full.apps[1];
-  }
-  return results;
 }
 
 const std::vector<std::string>& fig4_targets() {

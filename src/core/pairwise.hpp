@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,27 +24,6 @@ struct PairwiseResult {
 /// Run one pairwise configuration. `background` may be "None".
 PairwiseResult run_pairwise(const StudyConfig& config, const std::string& target,
                             const std::string& background);
-
-/// One cell of a pairwise matrix sweep. An empty `routing` keeps the base
-/// config's routing.
-struct PairwiseCell {
-  std::string target;
-  std::string background;  ///< "None" (or empty) for the standalone baseline
-  std::string routing;
-};
-
-/// Run a batch of pairwise cells, sharded across worker threads
-/// (ParallelRunner semantics: jobs > 0 = exact count, 0 = DFSIM_JOBS or
-/// sequential). Every cell is an independent Study built from `base`;
-/// results are returned in cell order, independent of worker count.
-///
-/// Deprecated-but-working shim: now a thin builder over the unified
-/// campaign core (core/plan.hpp — a pairwise ExperimentPlan whose
-/// pairwise_list is `cells` verbatim). New code should build an
-/// ExperimentPlan directly and use run_plan.
-std::vector<PairwiseResult> run_pairwise_cells(const StudyConfig& base,
-                                               const std::vector<PairwiseCell>& cells,
-                                               int jobs = 0);
 
 /// The paper's Fig 4 matrix: targets x backgrounds x routings.
 const std::vector<std::string>& fig4_targets();

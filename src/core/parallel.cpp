@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -17,46 +16,40 @@
 
 namespace dfly {
 
-ParallelRunner::ParallelRunner(int jobs) : jobs_(resolve_jobs(jobs, 1)) {}
+namespace {
 
-int ParallelRunner::resolve_jobs(int requested, int fallback) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("DFSIM_JOBS")) {
-    // Strict full-string parse. std::atoi silently turned "4x" into 4 jobs
-    // and "abc" into the fallback — a typo'd environment either ran the
-    // wrong worker count or ignored the user's intent without a word.
-    char* end = nullptr;
-    errno = 0;
-    const long jobs = std::strtol(env, &end, 10);
-    // strtol tolerates leading whitespace and a '+'; a *strict* value is
-    // digits only, so require the first character to be one.
-    const bool starts_with_digit = env[0] >= '0' && env[0] <= '9';
-    if (!starts_with_digit || end == env || *end != '\0' || errno == ERANGE || jobs < 1 ||
-        jobs > INT_MAX) {
-      throw std::invalid_argument("DFSIM_JOBS must be a positive integer, got '" +
-                                  std::string(env) + "'");
-    }
-    return static_cast<int>(jobs);
+/// The value of environment variable `name` as a positive int, or 0 when it
+/// is unset. Strict full-string parse: a typo'd value ("4x", "abc", "0")
+/// must not silently run the wrong thread count, so anything but a plain
+/// positive decimal throws std::invalid_argument with one clear line.
+int positive_env_int(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return 0;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(env, &end, 10);
+  // strtol tolerates leading whitespace and a '+'; a *strict* value is
+  // digits only, so require the first character to be one.
+  const bool starts_with_digit = env[0] >= '0' && env[0] <= '9';
+  if (!starts_with_digit || end == env || *end != '\0' || errno == ERANGE || value < 1 ||
+      value > INT_MAX) {
+    throw std::invalid_argument(std::string(name) + " must be a positive integer, got '" +
+                                env + "'");
   }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
+int resolve_jobs(int requested, int fallback) {
+  if (requested > 0) return requested;
+  if (const int jobs = positive_env_int("DFSIM_JOBS")) return jobs;
   return fallback < 1 ? 1 : fallback;
 }
 
-int ParallelRunner::resolve_cell_threads(int requested) {
+int resolve_cell_threads(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("DFSIM_CELL_THREADS")) {
-    // Same strict full-string parse as DFSIM_JOBS: a typo'd value must fail
-    // loudly, not silently run the wrong (or no) intra-cell parallelism.
-    char* end = nullptr;
-    errno = 0;
-    const long threads = std::strtol(env, &end, 10);
-    const bool starts_with_digit = env[0] >= '0' && env[0] <= '9';
-    if (!starts_with_digit || end == env || *end != '\0' || errno == ERANGE || threads < 1 ||
-        threads > INT_MAX) {
-      throw std::invalid_argument("DFSIM_CELL_THREADS must be a positive integer, got '" +
-                                  std::string(env) + "'");
-    }
-    return static_cast<int>(threads);
-  }
+  if (const int threads = positive_env_int("DFSIM_CELL_THREADS")) return threads;
   return 1;
 }
 
@@ -95,7 +88,7 @@ std::uint64_t available_memory_bytes() {
 
 }  // namespace
 
-int ParallelRunner::memory_jobs_cap(int cell_threads) {
+int memory_jobs_cap(int cell_threads) {
   if (cell_threads < 1) cell_threads = 1;
   const std::uint64_t budget =
       kCellBudgetBytes + static_cast<std::uint64_t>(cell_threads - 1) * kDomainBudgetBytes;
@@ -109,7 +102,7 @@ int ParallelRunner::memory_jobs_cap(int cell_threads) {
   return 12;  // the pre-blueprint fixed cap, kept as the conservative fallback
 }
 
-int ParallelRunner::hardware_jobs(int cell_threads) {
+int hardware_jobs(int cell_threads) {
   if (cell_threads < 1) cell_threads = 1;
   int jobs = static_cast<int>(std::thread::hardware_concurrency()) / cell_threads;
   if (jobs < 1) jobs = 1;
@@ -145,101 +138,10 @@ std::string current_exception_message() {
 
 }  // namespace
 
-void ParallelRunner::run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
-                                 WorkerErrors* errors) const {
-  if (errors != nullptr) errors->workers.clear();
-  if (n == 0) return;
-  const int workers = jobs_ < static_cast<int>(n) ? jobs_ : static_cast<int>(n);
-  // stop_early: legacy mode — the first failure stops new claims and is
-  // rethrown after the pool drains. With an errors sink the caller wants
-  // every cell attempted and the full per-worker picture instead.
-  const bool stop_early = errors == nullptr;
-  WorkerErrors collected;
-  collected.workers.resize(static_cast<std::size_t>(workers < 1 ? 1 : workers));
-  // Each worker (including the sequential fast path) binds a persistent
-  // SimArena for its run: the first cell grows the storage, every later cell
-  // on the same worker reuses it in place. Reuse is output-neutral, so cell
-  // -> worker assignment never affects results (see core/arena.hpp);
-  // --no-arena / DFSIM_NO_ARENA turns the binding off.
-  //
-  // All workers additionally share ONE BlueprintCache: the immutable
-  // topology/wiring/routing plan of each distinct cell shape is built once
-  // and read concurrently by every worker (--no-blueprint / DFSIM_NO_BLUEPRINT
-  // turns the sharing off; cells then build private plans).
-  const bool use_arena = arena_enabled();
-  BlueprintCache blueprint_cache;
-  BlueprintCache* shared_cache = blueprint_enabled() ? &blueprint_cache : nullptr;
-  // The cross-worker error channel, shaped so the thread-safety analysis can
-  // prove the discipline: `first` is only touched under `mutex`.
-  struct FirstError {
-    Mutex mutex;
-    std::exception_ptr first GUARDED_BY(mutex);
-
-    std::exception_ptr take() {
-      const MutexLock lock(mutex);
-      return first;
-    }
-  } error;
-  if (workers <= 1) {
-    SimArena arena;
-    ScopedArenaBinding binding(use_arena ? &arena : nullptr);
-    ScopedBlueprintCacheBinding cache_binding(shared_cache);
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        WorkerErrors::Worker& me = collected.workers[0];
-        if (me.failures++ == 0) {
-          me.first = current_exception_message();
-          const MutexLock lock(error.mutex);
-          error.first = std::current_exception();
-        }
-        if (stop_early) break;
-      }
-    }
-  } else {
-    // Work stealing via a shared counter: cells are claimed in index order,
-    // so a cheap cell never waits behind an expensive one on the same worker.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    auto worker = [&](std::size_t id) {
-      SimArena arena;
-      ScopedArenaBinding binding(use_arena ? &arena : nullptr);
-      ScopedBlueprintCacheBinding cache_binding(shared_cache);
-      WorkerErrors::Worker& me = collected.workers[id];
-      for (;;) {
-        if (stop_early && failed.load(std::memory_order_relaxed)) return;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          if (me.failures++ == 0) me.first = current_exception_message();
-          const MutexLock lock(error.mutex);
-          if (!error.first) error.first = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      pool.emplace_back(worker, static_cast<std::size_t>(t));
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-  if (errors != nullptr) {
-    *errors = std::move(collected);
-    return;  // diagnostic mode: the caller owns failure policy, no rethrow
-  }
-  if (std::exception_ptr first = error.take()) std::rethrow_exception(first);
-}
-
 // --- SubmissionQueue ---------------------------------------------------------
 
-SubmissionQueue::SubmissionQueue(int jobs, int fallback)
-    : jobs_(ParallelRunner::resolve_jobs(jobs, fallback)),
-      cache_(std::make_unique<BlueprintCache>()) {
+SubmissionQueue::SubmissionQueue(int jobs)
+    : jobs_(resolve_jobs(jobs)), cache_(std::make_unique<BlueprintCache>()) {
   workers_.reserve(static_cast<std::size_t>(jobs_));
   for (int id = 0; id < jobs_; ++id) {
     workers_.emplace_back(&SubmissionQueue::worker_main, this, static_cast<std::size_t>(id));
@@ -256,9 +158,10 @@ SubmissionQueue::~SubmissionQueue() {
 }
 
 void SubmissionQueue::worker_main(std::size_t id) {
-  // Mirrors ParallelRunner's per-worker setup, but for the pool's whole
-  // lifetime: the arena carries hot storage and the shared cache carries
-  // blueprints from campaign to campaign, not just cell to cell.
+  // Bound for the pool's whole lifetime: the first cell grows the arena's
+  // storage and later cells reuse it in place; the shared cache builds each
+  // distinct cell shape's immutable plan once and every worker reads it.
+  // Both are output-neutral (core/arena.hpp, core/blueprint.hpp).
   SimArena arena;
   ScopedArenaBinding binding(arena_enabled() ? &arena : nullptr);
   ScopedBlueprintCacheBinding cache_binding(blueprint_enabled() ? cache_.get() : nullptr);

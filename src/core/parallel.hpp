@@ -20,17 +20,15 @@
 /// trivially across threads — the only discipline required is that results
 /// land in pre-sized slots indexed by cell, which makes the aggregate output
 /// bit-identical to a sequential run regardless of worker count or
-/// completion order.
+/// completion order. Every campaign runs its cells on a SubmissionQueue: a
+/// private one per run_plan call, or the daemon's shared one.
 namespace dfly {
 
-/// Per-worker exception diagnostics collected by a run_indexed() call.
-///
-/// Historically only the FIRST exception thrown by any worker survived (it
-/// was rethrown; everything else was dropped on the floor). Campaign-grade
-/// diagnostics need the full picture: how many cells each worker lost and
-/// what the first failure on each worker looked like — enough to tell "one
-/// pathological cell" from "worker 3's arena is poisoned" from "the disk
-/// filled up everywhere". run_plan() forwards this into PlanOutcome.
+/// Per-worker exception diagnostics collected by a run_indexed() call: how
+/// many cells each worker lost and what the first failure on each worker
+/// looked like — enough to tell "one pathological cell" from "worker 3's
+/// arena is poisoned" from "the disk filled up everywhere". run_plan()
+/// forwards this into PlanOutcome.
 struct WorkerErrors {
   struct Worker {
     std::size_t failures{0};  ///< cells whose fn threw on this worker
@@ -49,130 +47,78 @@ struct WorkerErrors {
   std::string summary() const;
 };
 
-/// Thread-pool runner for independent simulation cells.
+/// Worker count for a pool of independent cells (--jobs, the first
+/// parallelism level). `requested` > 0 wins; else DFSIM_JOBS (which must be
+/// a positive integer, parsed strictly over the whole string — "4x", "abc",
+/// "" and "0" throw std::invalid_argument with one clear line, exactly like
+/// a bad config value, instead of being silently truncated or ignored); else
+/// `fallback` (clamped to >= 1). The same resolution backs the `--jobs=N`
+/// flag on `dflysim` and on every bench binary.
+int resolve_jobs(int requested, int fallback = 1);
+
+/// Intra-cell thread-count resolution for --cell-threads (the second
+/// parallelism level: threads *inside* one cell, src/sim/pdes.hpp).
+/// `requested` > 0 wins; else DFSIM_CELL_THREADS with the same strict
+/// full-string parse as DFSIM_JOBS; else 1 (sequential). Output never
+/// depends on the resolved value.
+int resolve_cell_threads(int requested);
+
+/// Per-cell peak-RSS budget used by memory_jobs_cap(): the measured
+/// high-water mutable footprint of one full 1,056-node cell *with* blueprint
+/// sharing and arena reuse on, rounded up generously. Re-derive from the
+/// BENCH_memory.json CI artifact when the footprint moves. This is a
+/// paper-shape heuristic: sweeps over substantially larger custom topologies
+/// should bound workers explicitly (--jobs / DFSIM_JOBS), which always
+/// overrides the derived cap.
+inline constexpr std::uint64_t kCellBudgetBytes = 192ull << 20;  // 192 MiB
+
+/// Per-extra-domain memory charge under --cell-threads (heap + closures +
+/// stats shard of one secondary engine; small next to the cell's pool and
+/// router buffers, which stay shared across domains).
+inline constexpr std::uint64_t kDomainBudgetBytes = 16ull << 20;  // 16 MiB
+
+/// Workers admitted by available memory: in-flight cells may budget at most
+/// half of the memory this process can actually use — physical RAM, further
+/// limited by a cgroup ceiling when one is set (containers/CI) — at
+/// kCellBudgetBytes each (the blueprint keeps the read-only plan out of that
+/// constant). Falls back to 12 when no limit can be determined; clamped to
+/// [1, 256].
 ///
-/// Worker-count resolution, in priority order: an explicit `jobs` argument
-/// (> 0), the DFSIM_JOBS environment variable, then the caller's fallback
-/// (sequential by default). The same resolution backs the `--jobs=N` flag on
-/// `dflysim` and on every bench binary.
-class ParallelRunner {
- public:
-  /// `jobs` <= 0 resolves through resolve_jobs(jobs, /*fallback=*/1).
-  explicit ParallelRunner(int jobs = 0);
+/// `cell_threads` > 1 widens the per-cell budget: each extra domain engine
+/// carries its own event heap, closure slab and packet-log shard
+/// (kDomainBudgetBytes apiece), so `jobs x cell_threads` oversubscription is
+/// charged for, not ignored.
+int memory_jobs_cap(int cell_threads = 1);
 
-  int jobs() const { return jobs_; }
-
-  /// `requested` > 0 wins; else DFSIM_JOBS (which must be a positive
-  /// integer, parsed strictly over the whole string — "4x", "abc", "" and
-  /// "0" throw std::invalid_argument with one clear line, exactly like a bad
-  /// config value, instead of being silently truncated or ignored); else
-  /// `fallback` (clamped to >= 1).
-  static int resolve_jobs(int requested, int fallback = 1);
-
-  /// Intra-cell thread-count resolution for --cell-threads (the second
-  /// parallelism level: threads *inside* one cell, src/sim/pdes.hpp).
-  /// `requested` > 0 wins; else DFSIM_CELL_THREADS with the same strict
-  /// full-string parse as DFSIM_JOBS; else 1 (sequential). Output never
-  /// depends on the resolved value.
-  static int resolve_cell_threads(int requested);
-
-  /// Per-cell peak-RSS budget used by memory_jobs_cap(): the measured
-  /// high-water mutable footprint of one full 1,056-node cell *with*
-  /// blueprint sharing and arena reuse on, rounded up generously. Re-derive
-  /// from the BENCH_memory.json CI artifact when the footprint moves. This
-  /// is a paper-shape heuristic: sweeps over substantially larger custom
-  /// topologies should bound workers explicitly (--jobs / DFSIM_JOBS), which
-  /// always overrides the derived cap.
-  static constexpr std::uint64_t kCellBudgetBytes = 192ull << 20;  // 192 MiB
-
-  /// Workers admitted by available memory: in-flight cells may budget at
-  /// most half of the memory this process can actually use — physical RAM,
-  /// further limited by a cgroup ceiling when one is set (containers/CI) —
-  /// at kCellBudgetBytes each (the blueprint keeps the read-only plan out of
-  /// that constant; pre-blueprint this was a fixed cap of 12 workers). Falls
-  /// back to 12 when no limit can be determined; clamped to [1, 256].
-  ///
-  /// `cell_threads` > 1 widens the per-cell budget: each extra domain engine
-  /// carries its own event heap, closure slab and packet-log shard
-  /// (kDomainBudgetBytes apiece), so `jobs x cell_threads` oversubscription
-  /// is charged for, not ignored.
-  static int memory_jobs_cap(int cell_threads = 1);
-
-  /// Per-extra-domain memory charge under --cell-threads (heap + closures +
-  /// stats shard of one secondary engine; small next to the cell's pool and
-  /// router buffers, which stay shared across domains).
-  static constexpr std::uint64_t kDomainBudgetBytes = 16ull << 20;  // 16 MiB
-
-  /// min(hardware_concurrency / cell_threads, memory_jobs_cap(cell_threads)),
-  /// at least 1: the worker count that keeps jobs x cell_threads at or below
-  /// the machine's cores and memory.
-  static int hardware_jobs(int cell_threads = 1);
-
-  /// Invoke fn(0) .. fn(n-1), sharded across jobs() worker threads
-  /// (sequential when jobs() == 1 or n <= 1). `fn` must only touch state
-  /// owned by cell i — see the thread-safety notes on PacketPool, LinkStats
-  /// and Rng.
-  ///
-  /// Exception handling comes in two modes:
-  ///  - errors == nullptr (legacy): the first failure stops workers from
-  ///    claiming new cells, and the first exception is rethrown on the
-  ///    calling thread after all workers drain; cells not yet started are
-  ///    skipped. Every exception is still *counted* per worker internally.
-  ///  - errors != nullptr: nothing is rethrown and no early stop happens —
-  ///    every cell is attempted, each worker's failure count and first
-  ///    message land in *errors (resized to the worker count). Callers that
-  ///    isolate failures per cell (run_plan) catch inside fn themselves, so
-  ///    entries here indicate infrastructure failures, not cell failures.
-  ///
-  /// Each worker carries a persistent SimArena (core/arena.hpp) for the
-  /// duration of the call, so Studies built inside `fn` reuse the worker's
-  /// grown storage cell after cell; and all workers share one BlueprintCache
-  /// (core/blueprint.hpp), so same-shape cells read one immutable
-  /// topology/wiring/routing plan instead of rebuilding it. Disabled by
-  /// --no-arena / DFSIM_NO_ARENA and --no-blueprint / DFSIM_NO_BLUEPRINT
-  /// respectively; output is bit-identical in every combination.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
-                   WorkerErrors* errors = nullptr) const;
-
-  /// Evaluate every task; results are returned in task order, so callers
-  /// print deterministic tables no matter how the cells interleave.
-  template <typename T>
-  std::vector<T> map(const std::vector<std::function<T()>>& tasks) const {
-    std::vector<T> results(tasks.size());
-    run_indexed(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); });
-    return results;
-  }
-
- private:
-  int jobs_;
-};
+/// min(hardware_concurrency / cell_threads, memory_jobs_cap(cell_threads)),
+/// at least 1: the worker count that keeps jobs x cell_threads at or below
+/// the machine's cores and memory.
+int hardware_jobs(int cell_threads = 1);
 
 class BlueprintCache;
 
-/// Persistent worker pool with a FIFO submission queue — the daemon-mode
-/// (`dflysim --serve`) counterpart of ParallelRunner.
+/// Persistent worker pool with a FIFO submission queue — the one pool every
+/// campaign runs on.
 ///
-/// A ParallelRunner spins its workers up per call, so each campaign starts
-/// with cold arenas and an empty BlueprintCache. A SubmissionQueue instead
-/// keeps one process-wide pool alive for its whole lifetime: every worker
-/// binds a persistent SimArena once, all workers share ONE BlueprintCache,
-/// and independent run_indexed() calls — one per campaign, possibly from
-/// many threads at once — multiplex their cells onto the same warm workers.
-/// The second campaign of a given shape therefore starts with hot storage
-/// and a prebuilt blueprint instead of paying setup cost again.
+/// The pool lives as long as the queue: every worker binds a persistent
+/// SimArena once, all workers share ONE BlueprintCache, and independent
+/// run_indexed() calls — one per campaign, possibly from many threads at
+/// once — multiplex their cells onto the same warm workers. run_plan builds
+/// a private queue per call; the daemon (`dflysim --serve`) keeps one for
+/// its whole lifetime, so the second campaign of a given shape starts with
+/// hot storage and a prebuilt blueprint instead of paying setup cost again.
 ///
 /// Scheduling is FIFO across submissions and index-ordered within one:
 /// workers drain the oldest submission's unclaimed cells first, so an
 /// earlier campaign is never starved by a later one. Cell -> worker
-/// assignment is as output-neutral as in ParallelRunner (arena reuse and
-/// blueprint sharing never change bytes), so results are identical to a
-/// private run.
+/// assignment is output-neutral (arena reuse and blueprint sharing never
+/// change bytes), so results are identical for any worker count.
 class SubmissionQueue {
  public:
-  /// `jobs` resolves exactly like ParallelRunner: > 0 exact, else
-  /// DFSIM_JOBS, else `fallback` workers. Workers start immediately and run
-  /// until destruction.
-  explicit SubmissionQueue(int jobs = 0, int fallback = 1);
+  /// `jobs` resolves through resolve_jobs(jobs): > 0 exact, else
+  /// DFSIM_JOBS, else one worker. Workers start immediately and run until
+  /// destruction.
+  explicit SubmissionQueue(int jobs = 0);
   /// Drains nothing: callers must not destroy the queue while a
   /// run_indexed() call is in flight. Joins all workers.
   ~SubmissionQueue();
@@ -187,10 +133,12 @@ class SubmissionQueue {
 
   /// Invoke fn(0) .. fn(n-1) on the pool and block until every call
   /// finished. Thread-safe: concurrent calls queue FIFO and interleave on
-  /// the shared workers. Exception semantics match ParallelRunner's collect
-  /// mode — nothing is rethrown, every cell is attempted, and per-worker
-  /// failure diagnostics land in *errors when provided (entries are indexed
-  /// by pool worker id).
+  /// the shared workers. `fn` must only touch state owned by cell i — see
+  /// the thread-safety notes on PacketPool, LinkStats and Rng. Nothing is
+  /// rethrown: every cell is attempted, and per-worker failure diagnostics
+  /// land in *errors when provided (entries are indexed by pool worker id).
+  /// Callers that isolate failures per cell (run_plan) catch inside fn
+  /// themselves, so entries here indicate infrastructure failures.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
                    WorkerErrors* errors = nullptr);
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
+#include "core/pairwise.hpp"
 #include "routing/factory.hpp"
 #include "workloads/factory.hpp"
 
@@ -183,20 +185,13 @@ void ExperimentPlan::validate() const {
       }
       break;
     case PlanMode::kPairwise:
-      if (pairwise_list.empty() && (targets.empty() || backgrounds.empty())) {
+      if (targets.empty() || backgrounds.empty()) {
         throw std::invalid_argument("ExperimentPlan: mode 'pairwise' needs plan.targets and "
-                                    "plan.backgrounds (or an explicit pairwise_list)");
+                                    "plan.backgrounds");
       }
       for (const std::string& name : targets) check_app("targets axis", name);
       for (const std::string& name : backgrounds) {
         if (name != "None") check_app("backgrounds axis", name);
-      }
-      for (const PairwiseCell& cell : pairwise_list) {
-        check_app("pairwise_list", cell.target);
-        if (!cell.background.empty() && cell.background != "None") {
-          check_app("pairwise_list", cell.background);
-        }
-        if (!cell.routing.empty()) check_routing("pairwise_list", cell.routing);
       }
       break;
     case PlanMode::kMixed:
@@ -231,21 +226,11 @@ std::vector<PlanCell> ExperimentPlan::expand() const {
         push(PlanCellKind::kCustom, config);
         break;
       case PlanMode::kPairwise:
-        if (!pairwise_list.empty()) {
-          for (const PairwiseCell& pair : pairwise_list) {
-            StudyConfig cell_config = config;
-            if (!pair.routing.empty()) cell_config.routing = pair.routing;
-            const auto it = push(PlanCellKind::kPairwise, std::move(cell_config));
-            it->target = pair.target;
-            it->background = pair.background.empty() ? "None" : pair.background;
-          }
-        } else {
-          for (const std::string& target : targets) {
-            for (const std::string& background : backgrounds) {
-              const auto it = push(PlanCellKind::kPairwise, config);
-              it->target = target;
-              it->background = background;
-            }
+        for (const std::string& target : targets) {
+          for (const std::string& background : backgrounds) {
+            const auto it = push(PlanCellKind::kPairwise, config);
+            it->target = target;
+            it->background = background;
           }
         }
         break;
@@ -261,27 +246,22 @@ std::vector<PlanCell> ExperimentPlan::expand() const {
     }
   };
 
-  if (!config_list.empty()) {
-    for (const StudyConfig& config : config_list) add_mix_cells(config, "");
-  } else {
-    // Fixed nesting: variant > routing > placement > scale > seed. Axes are
-    // applied after the variant overlay so an explicit axis always wins.
-    const std::vector<PlanVariant> no_variant{PlanVariant{}};
-    for (const PlanVariant& variant : variants.empty() ? no_variant : variants) {
-      const StudyConfig varied = variant.overrides.values().empty()
-                                     ? base
-                                     : apply_config(base, variant.overrides);
-      for (std::size_t r = 0; r < std::max<std::size_t>(routings.size(), 1); ++r) {
-        for (std::size_t p = 0; p < std::max<std::size_t>(placements.size(), 1); ++p) {
-          for (std::size_t sc = 0; sc < std::max<std::size_t>(scales.size(), 1); ++sc) {
-            for (std::size_t sd = 0; sd < std::max<std::size_t>(seeds.size(), 1); ++sd) {
-              StudyConfig config = varied;
-              if (!routings.empty()) config.routing = routings[r];
-              if (!placements.empty()) config.placement = placements[p];
-              if (!scales.empty()) config.scale = scales[sc];
-              if (!seeds.empty()) config.seed = seeds[sd];
-              add_mix_cells(config, variant.label);
-            }
+  // Fixed nesting: variant > routing > placement > scale > seed. Axes are
+  // applied after the variant overlay so an explicit axis always wins.
+  const std::vector<PlanVariant> no_variant{PlanVariant{}};
+  for (const PlanVariant& variant : variants.empty() ? no_variant : variants) {
+    const StudyConfig varied =
+        variant.overrides.values().empty() ? base : apply_config(base, variant.overrides);
+    for (std::size_t r = 0; r < std::max<std::size_t>(routings.size(), 1); ++r) {
+      for (std::size_t p = 0; p < std::max<std::size_t>(placements.size(), 1); ++p) {
+        for (std::size_t sc = 0; sc < std::max<std::size_t>(scales.size(), 1); ++sc) {
+          for (std::size_t sd = 0; sd < std::max<std::size_t>(seeds.size(), 1); ++sd) {
+            StudyConfig config = varied;
+            if (!routings.empty()) config.routing = routings[r];
+            if (!placements.empty()) config.placement = placements[p];
+            if (!scales.empty()) config.scale = scales[sc];
+            if (!seeds.empty()) config.seed = seeds[sd];
+            add_mix_cells(config, variant.label);
           }
         }
       }
@@ -335,18 +315,6 @@ PlanShard parse_shard(const std::string& text) {
   return PlanShard{static_cast<std::size_t>(k - 1), static_cast<std::size_t>(n)};
 }
 
-void PlanOutcome::rethrow_any() const {
-  if (!failures.empty()) {
-    const CellFailure& failure = failures.front();
-    if (failure.error) std::rethrow_exception(failure.error);
-    throw std::runtime_error("plan cell " + std::to_string(failure.index) +
-                             " failed: " + failure.message);
-  }
-  if (worker_errors.any()) {
-    throw std::runtime_error("campaign infrastructure failure: " + worker_errors.summary());
-  }
-}
-
 namespace {
 
 /// One cell's execution result, waiting in its emission slot.
@@ -379,22 +347,17 @@ CellResult run_cell_isolated(const ExperimentPlan& plan, const PlanCell& cell) {
     } catch (const WallDeadlineExceeded& error) {
       result.failure.message = error.what();
       result.failure.timeout = true;
-      result.failure.error = std::current_exception();
       return result;  // a timed-out cell would time out again: no retry
     } catch (const std::bad_alloc& error) {
       transient = true;
       result.failure.message = error.what();
-      result.failure.error = std::current_exception();
     } catch (const TransientCellError& error) {
       transient = true;
       result.failure.message = error.what();
-      result.failure.error = std::current_exception();
     } catch (const std::exception& error) {
       result.failure.message = error.what();
-      result.failure.error = std::current_exception();
     } catch (...) {
       result.failure.message = "unknown exception";
-      result.failure.error = std::current_exception();
     }
     if (!transient || attempt >= max_attempts) return result;
     // Transient retry: release every byte this worker is holding (the most
@@ -496,12 +459,10 @@ PlanOutcome run_plan(const ExperimentPlan& plan, PlanSink& sink,
         result.ok = false;
         result.failure.sink_error = true;
         result.failure.message = error.what();
-        result.failure.error = std::current_exception();
       } catch (...) {
         result.ok = false;
         result.failure.sink_error = true;
         result.failure.message = "unknown exception";
-        result.failure.error = std::current_exception();
       }
     }
     if (result.ok) {
@@ -549,13 +510,16 @@ PlanOutcome run_plan(const ExperimentPlan& plan, PlanSink& sink,
     ready[k] = 1;
     while (next_emit < work.size() && ready[next_emit]) emit(next_emit++);
   };
-  if (options.queue != nullptr) {
-    // Daemon mode: multiplex this campaign's cells onto the shared warm pool
-    // (per-worker arenas and the cross-campaign BlueprintCache stay hot).
-    options.queue->run_indexed(work.size(), run_one, &outcome.worker_errors);
-  } else {
-    ParallelRunner(options.jobs).run_indexed(work.size(), run_one, &outcome.worker_errors);
+  // The daemon passes its shared warm pool (per-worker arenas and the
+  // cross-campaign BlueprintCache stay hot); a local run gets a private pool
+  // with no more workers than cells.
+  std::optional<SubmissionQueue> private_queue;
+  SubmissionQueue* queue = options.queue;
+  if (queue == nullptr && !work.empty()) {
+    const std::size_t jobs = static_cast<std::size_t>(resolve_jobs(options.jobs));
+    queue = &private_queue.emplace(static_cast<int>(std::min(jobs, work.size())));
   }
+  if (queue != nullptr) queue->run_indexed(work.size(), run_one, &outcome.worker_errors);
 
   sink.end();
 

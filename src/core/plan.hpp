@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <fstream>
 #include <functional>
 #include <ostream>
@@ -13,7 +12,6 @@
 
 #include "core/config_file.hpp"
 #include "core/journal.hpp"
-#include "core/pairwise.hpp"
 #include "core/parallel.hpp"
 #include "core/study.hpp"
 
@@ -25,7 +23,7 @@
 /// variants). ExperimentPlan is the one description of such a campaign: a
 /// base StudyConfig, the axes to sweep, and a job-mix kind. It expands
 /// deterministically into an ordered cell list and runs through ONE entry
-/// point, run_plan(), on the ParallelRunner (per-worker SimArena reuse and
+/// point, run_plan(), on a SubmissionQueue (per-worker SimArena reuse and
 /// cross-cell SystemBlueprint sharing intact), streaming each finished cell
 /// to a PlanSink in cell order — so output bytes are identical for any
 /// worker count.
@@ -39,9 +37,8 @@
 /// runs a deterministic slice for multi-host fan-out (reassembled with
 /// merge_shard_jsonl).
 ///
-/// The legacy driver surfaces — SeedSweep::run, run_pairwise_cells,
-/// run_mixed_suites — are retained as thin shims over this core; new
-/// scenarios should build an ExperimentPlan (programmatically, or from a
+/// Every campaign driver — the CLI's --plan and --sweep, the daemon and the
+/// bench drivers — builds an ExperimentPlan (programmatically, or from a
 /// `plan.*` config file via plan_from_config / `dflysim --plan=FILE`).
 namespace dfly {
 
@@ -114,10 +111,6 @@ struct CellFailure {
   int attempts{1};       ///< simulation attempts consumed (> 1 after retries)
   bool timeout{false};     ///< abandoned by the wall-clock watchdog
   bool sink_error{false};  ///< the simulation succeeded but a sink write failed
-  /// The final attempt's exception, for callers that need legacy rethrow
-  /// semantics (PlanOutcome::rethrow_any). Null for failures replayed from a
-  /// resume journal.
-  std::exception_ptr error;
 };
 
 struct ExperimentPlan;
@@ -149,9 +142,7 @@ class PlanSink {
 ///     variant > routing > placement > scale > seed > job-mix cell
 /// (job-mix cells: pairwise = target-major over backgrounds, mixed = the mix
 /// then each solo in table2_mix order, single/custom = one cell). An empty
-/// axis means "the base config's value is the single point". When
-/// `config_list` is set it replaces the whole axis product, cell order
-/// following the list.
+/// axis means "the base config's value is the single point".
 struct ExperimentPlan {
   std::string name{"campaign"};
   StudyConfig base{};
@@ -163,17 +154,11 @@ struct ExperimentPlan {
   std::vector<PlacementPolicy> placements;
   std::vector<int> scales;
   std::vector<std::uint64_t> seeds;
-  /// Explicit per-cell configs replacing the axis product (legacy
-  /// run_mixed_suites shim; campaigns over hand-built config sets).
-  std::vector<StudyConfig> config_list;
 
   // --- job mix ------------------------------------------------------------
   std::vector<PlanJob> jobs;             ///< kSingle
   std::vector<std::string> targets;      ///< kPairwise
   std::vector<std::string> backgrounds;  ///< kPairwise; "None" = standalone
-  /// kPairwise: explicit (target, background, routing-override) list
-  /// replacing the targets x backgrounds product (legacy shim surface).
-  std::vector<PairwiseCell> pairwise_list;
   bool mixed_solos{true};  ///< kMixed: append per-app solo baselines
   /// kCustom: produces each cell's Report (runs on a worker thread; must
   /// only touch state owned by its cell).
@@ -327,7 +312,7 @@ struct PlanOutcome {
   std::size_t completed{0};  ///< cells whose Report.completed is true
                              ///  (journaled completions count on resume)
   /// Every isolated cell failure, in cell order (journaled failures are
-  /// replayed here on resume, with a null exception pointer).
+  /// replayed here on resume).
   std::vector<CellFailure> failures;
   /// Infrastructure failures that escaped cell isolation (journal/sink-end
   /// write errors, etc.), per worker.
@@ -338,16 +323,13 @@ struct PlanOutcome {
   bool all_ok() const {
     return failures.empty() && !worker_errors.any() && completed == cells;
   }
-  /// Legacy fail-fast surface for the pre-plan driver shims: rethrow the
-  /// first failure's original exception (or a std::runtime_error carrying
-  /// its message when only a journal replay is available). No-op when clean.
-  void rethrow_any() const;
 };
 
 /// Execution options for run_plan (all default to the plain local run).
 struct RunPlanOptions {
-  /// ParallelRunner worker count: > 0 = exact, 0 = DFSIM_JOBS else
-  /// sequential.
+  /// Worker count of the private SubmissionQueue run_plan builds when
+  /// `queue` is null: > 0 = exact, 0 = DFSIM_JOBS else sequential; capped at
+  /// the number of cells to run, so no worker starts idle.
   int jobs{0};
   /// Intra-cell threads (--cell-threads): applied to every expanded cell
   /// whose config leaves cell_threads at 0 — a cell that sets its own value
@@ -376,20 +358,21 @@ struct RunPlanOptions {
   const std::atomic<bool>* cancel{nullptr};
   /// When set, cells execute on this shared persistent pool (daemon mode:
   /// all campaigns multiplex onto one warm SubmissionQueue, sharing worker
-  /// arenas and one BlueprintCache) instead of a per-call ParallelRunner;
+  /// arenas and one BlueprintCache) instead of a private per-call queue;
   /// `jobs` is then ignored. Not owned.
   SubmissionQueue* queue{nullptr};
 };
 
-/// THE campaign entry point: expand the plan, shard the cells across
-/// `options.jobs` ParallelRunner workers (per-worker arenas and the shared
-/// BlueprintCache apply as for every other driver), and stream results to
-/// `sink` in cell order. Every cell is fault-isolated: exceptions become
-/// recorded CellFailures (transient ones retried per plan.cell_retries,
-/// watchdog timeouts per plan.cell_timeout_s), the campaign always runs to
-/// the end, and sink.end() is always called after begin() succeeded. Output
-/// is bit-identical for any worker count — and, through the journal/resume
-/// pair, across crash-resume boundaries and shard reassembly.
+/// THE campaign entry point: expand the plan, run the cells on a
+/// SubmissionQueue (options.queue, else a private queue of options.jobs
+/// workers; per-worker arenas and the shared BlueprintCache apply either
+/// way), and stream results to `sink` in cell order. Every cell is
+/// fault-isolated: exceptions become recorded CellFailures (transient ones
+/// retried per plan.cell_retries, watchdog timeouts per
+/// plan.cell_timeout_s), the campaign always runs to the end, and sink.end()
+/// is always called after begin() succeeded. Output is bit-identical for any
+/// worker count — and, through the journal/resume pair, across crash-resume
+/// boundaries and shard reassembly.
 PlanOutcome run_plan(const ExperimentPlan& plan, PlanSink& sink,
                      const RunPlanOptions& options);
 /// Convenience overload: local run with `jobs` workers, no shard/journal.

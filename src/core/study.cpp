@@ -158,7 +158,7 @@ Report Study::run() {
   // routings that carry cross-group state, record-keeping runs, traced runs,
   // single-group topologies, zero lookahead — silently run sequentially;
   // either way the output is byte-identical (src/sim/pdes.hpp).
-  const int cell_threads = ParallelRunner::resolve_cell_threads(config_.cell_threads);
+  const int cell_threads = resolve_cell_threads(config_.cell_threads);
   if (cell_threads > 1 && routing::is_cell_parallel(config_.routing) &&
       !config_.observability.keep_packet_records) {
     bool tracing = false;

@@ -111,7 +111,7 @@ struct Report {
 ///
 /// A Study is one simulation cell: it owns its Engine, Network, PacketPool,
 /// stats and every Rng stream, and touches no mutable globals. Whole
-/// Studies therefore run concurrently on ParallelRunner workers (one Study
+/// Studies therefore run concurrently on SubmissionQueue workers (one Study
 /// per worker at a time); a single Study is not itself thread-safe.
 ///
 /// Storage reuse: when a SimArena is bound to the calling thread (or passed
@@ -125,7 +125,7 @@ struct Report {
 /// placement plans, routing parameterisation — lives in a SystemBlueprint
 /// (core/blueprint.hpp). The Study resolves it in this order: an explicit
 /// `blueprint` argument (must match the config's shape), the thread-bound
-/// BlueprintCache (ParallelRunner binds one across all workers, so
+/// BlueprintCache (SubmissionQueue binds one across all workers, so
 /// same-shape cells share one snapshot), else a private build. Sharing never
 /// changes simulation output; --no-blueprint / DFSIM_NO_BLUEPRINT disables
 /// it.

@@ -1,9 +1,8 @@
 #include "core/sweep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "core/plan.hpp"
 
 namespace dfly {
 
@@ -37,35 +36,19 @@ SeedSweep::SeedSweep(std::uint64_t base_seed, int n) {
   for (int i = 0; i < n; ++i) seeds_.push_back(base_seed + static_cast<std::uint64_t>(i));
 }
 
-SweepSummary SeedSweep::run(const std::function<Report(std::uint64_t)>& experiment,
-                            int jobs) const {
-  // Shim over the unified campaign core: a seed sweep is a plan with one
-  // seeds axis and a custom cell runner. Scheduling, arena reuse and
-  // blueprint sharing are exactly what every other driver gets, so the
-  // summary is bit-identical to the pre-plan implementation.
-  ExperimentPlan plan;
-  plan.name = "seed_sweep";
-  plan.mode = PlanMode::kCustom;
-  plan.seeds = seeds_;
-  plan.custom = [&experiment](const PlanCell& cell) { return experiment(cell.config.seed); };
-  CollectSink sink;
-  // Legacy fail-fast contract: callers of this shim predate cell isolation
-  // and expect the first cell exception to propagate.
-  run_plan(plan, sink, jobs).rethrow_any();
-  return aggregate(sink.reports());
-}
-
 SweepSummary SeedSweep::aggregate(const std::vector<Report>& reports) {
   if (reports.empty()) throw std::invalid_argument("SeedSweep: no reports to aggregate");
   SweepSummary summary;
   summary.routing = reports.front().routing;
   summary.runs = static_cast<int>(reports.size());
 
-  const std::size_t num_apps = reports.front().apps.size();
+  const std::vector<AppReport>& first_apps = reports.front().apps;
+  const std::size_t num_apps = first_apps.size();
   for (const Report& report : reports) {
-    if (report.apps.size() != num_apps) {
-      throw std::invalid_argument("SeedSweep: app sets differ across repetitions");
-    }
+    const bool same_apps = std::equal(
+        report.apps.begin(), report.apps.end(), first_apps.begin(), first_apps.end(),
+        [](const AppReport& a, const AppReport& b) { return a.app == b.app; });
+    if (!same_apps) throw std::invalid_argument("SeedSweep: app sets differ across repetitions");
     if (report.completed) ++summary.completed_runs;
   }
 

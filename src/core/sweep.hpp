@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,33 +55,21 @@ struct SweepSummary {
   const AppSweep& app(const std::string& name) const;
 };
 
-/// Runs `experiment` once per seed and aggregates the Reports. The factory
-/// receives the seed and must build, run and return a finished Report (apps
-/// must match across repetitions; the first run defines the app set).
+/// The seed list of a multi-seed sweep, and the aggregation of its Reports.
+/// A sweep runs as a seeds-axis ExperimentPlan (core/plan.hpp); aggregate()
+/// then summarises the reports in seed order, so the summary is
+/// bit-identical for any worker count.
 class SeedSweep {
  public:
   explicit SeedSweep(std::vector<std::uint64_t> seeds);
   /// Convenience: seeds base, base+1, ..., base+n-1.
   SeedSweep(std::uint64_t base_seed, int n);
 
-  /// `jobs` shards the per-seed cells across worker threads with
-  /// ParallelRunner semantics: > 0 = exactly that many workers, 0 (default)
-  /// = honour DFSIM_JOBS, else sequential. Each cell builds its own Engine
-  /// and Rng from its seed, and reports are collected into slots indexed by
-  /// seed position and aggregated in seed order — the summary is
-  /// bit-identical to a sequential run for any worker count.
-  ///
-  /// Deprecated-but-working shim: this is now a thin builder over the
-  /// unified campaign core (core/plan.hpp — a seeds-axis ExperimentPlan
-  /// with a custom cell runner). New code should build an ExperimentPlan
-  /// directly and use run_plan.
-  SweepSummary run(const std::function<Report(std::uint64_t seed)>& experiment,
-                   int jobs = 0) const;
-
   const std::vector<std::uint64_t>& seeds() const { return seeds_; }
 
-  /// Aggregate already-collected reports (exposed for tests and for benches
-  /// that parallelise their own runs).
+  /// Aggregate already-collected reports. Every report must carry the same
+  /// apps, by name and in order (the first report defines the app set);
+  /// throws std::invalid_argument otherwise.
   static SweepSummary aggregate(const std::vector<Report>& reports);
 
  private:

@@ -34,7 +34,7 @@ struct ServeOptions {
   /// socket_path + ".spool". Created if missing.
   std::string spool_dir;
   /// Worker threads of the shared pool: > 0 exact, else DFSIM_JOBS, else
-  /// ParallelRunner::hardware_jobs().
+  /// one worker (resolve_jobs).
   int jobs{0};
 };
 

@@ -68,7 +68,7 @@ class WallDeadlineExceeded : public std::runtime_error {
 /// carrying the same timestamp in one batch (see run()).
 ///
 /// Thread-safety: none — an Engine, like every component scheduled on it,
-/// belongs to exactly one simulation cell. Parallel sweeps (ParallelRunner)
+/// belongs to exactly one simulation cell. Parallel sweeps (SubmissionQueue)
 /// run one Engine per worker-owned cell and never share one across threads.
 class Engine {
  public:

@@ -13,7 +13,7 @@ namespace dfly {
 ///
 /// Thread-safety: none — state advances on every draw. Each simulation cell
 /// seeds its own Rng instances; parallel sweeps must never share one across
-/// ParallelRunner workers (determinism, not just data races, would break).
+/// SubmissionQueue workers (determinism, not just data races, would break).
 class Rng {
  public:
   using result_type = std::uint64_t;

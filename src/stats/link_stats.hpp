@@ -17,7 +17,7 @@ enum class LinkClass : std::uint8_t { kTerminal = 0, kLocal = 1, kGlobal = 2 };
 ///
 /// Thread-safety: none. The counters are plain (unsynchronised) fields: one
 /// LinkStats per Network, one Network per simulation cell, one cell per
-/// ParallelRunner worker — never shared across threads.
+/// SubmissionQueue worker — never shared across threads.
 class LinkStats {
  public:
   /// An empty stats block; give it a shape with reset() before use.

@@ -341,7 +341,7 @@ TEST(StudyBlueprint, SharedPlanOutputIsByteIdenticalToPrivate) {
 
 TEST(StudyBlueprint, DirtyStateFuzzAcrossShapesThroughOneCache) {
   // Deliberately different cell shapes scheduled through ONE blueprint cache
-  // (and one arena, as a ParallelRunner worker would): every report must
+  // (and one arena, as a SubmissionQueue worker would): every report must
   // match a fresh cache-less, arena-less run of the same cell. Seeded so the
   // "random" schedule is reproducible.
   const std::vector<std::string> apps{"UR", "FFT3D", "Halo3D", "CosmoFlow"};

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -12,8 +13,8 @@
 #include "core/arena.hpp"
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
-#include "core/mixed.hpp"
 #include "core/pairwise.hpp"
+#include "core/plan.hpp"
 #include "core/study.hpp"
 #include "core/sweep.hpp"
 
@@ -36,120 +37,48 @@ Report tiny_experiment(std::uint64_t seed) {
   return study.run();
 }
 
-TEST(ParallelRunner, MapReturnsResultsInTaskOrder) {
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([i] { return i * i; });
-  }
-  const std::vector<int> results = ParallelRunner(4).map(tasks);
-  ASSERT_EQ(results.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
-}
+// --- worker-count resolution -------------------------------------------------
 
-TEST(ParallelRunner, RunIndexedCoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& hit : hits) hit = 0;
-  ParallelRunner(8).run_indexed(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ParallelRunner, SequentialWhenJobsIsOne) {
-  const std::thread::id caller = std::this_thread::get_id();
-  ParallelRunner(1).run_indexed(16, [&](std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-}
-
-TEST(ParallelRunner, PropagatesTheFirstException) {
-  EXPECT_THROW(ParallelRunner(4).run_indexed(32,
-                                             [](std::size_t i) {
-                                               if (i == 7) {
-                                                 throw std::runtime_error("cell 7 failed");
-                                               }
-                                             }),
-               std::runtime_error);
-}
-
-TEST(ParallelRunner, CollectModeAttemptsEveryIndexAndRecordsEachFailure) {
-  // errors != nullptr: no early stop, no rethrow — every index runs, each
-  // worker's failure count and first message land in the WorkerErrors.
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& hit : hits) hit = 0;
-  WorkerErrors errors;
-  ParallelRunner(4).run_indexed(
-      hits.size(),
-      [&](std::size_t i) {
-        ++hits[i];
-        if (i % 7 == 3) throw std::runtime_error("index " + std::to_string(i));
-      },
-      &errors);
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);  // nothing skipped
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    if (i % 7 == 3) ++expected;
-  }
-  EXPECT_EQ(errors.total(), expected);
-  EXPECT_TRUE(errors.any());
-  EXPECT_NE(errors.summary().find("failure"), std::string::npos);
-}
-
-TEST(ParallelRunner, CollectModeSequentialKeepsGoingAndKeepsTheFirstMessage) {
-  WorkerErrors errors;
-  int calls = 0;
-  ParallelRunner(1).run_indexed(
-      8,
-      [&](std::size_t i) {
-        ++calls;
-        if (i == 2 || i == 5) throw std::runtime_error("boom at " + std::to_string(i));
-      },
-      &errors);
-  EXPECT_EQ(calls, 8);
-  EXPECT_EQ(errors.total(), 2u);
-  ASSERT_EQ(errors.workers.size(), 1u);
-  EXPECT_EQ(errors.workers[0].failures, 2u);
-  EXPECT_NE(errors.workers[0].first.find("boom at 2"), std::string::npos);
-}
-
-TEST(ParallelRunner, CollectModeIsEmptyOnACleanRun) {
-  WorkerErrors errors;
-  ParallelRunner(4).run_indexed(32, [](std::size_t) {}, &errors);
-  EXPECT_FALSE(errors.any());
-  EXPECT_EQ(errors.total(), 0u);
-  EXPECT_TRUE(errors.summary().empty());
-}
-
-TEST(ParallelRunner, ResolveJobsPrefersExplicitThenEnvThenFallback) {
+TEST(ParallelJobs, ResolveJobsPrefersExplicitThenEnvThenFallback) {
   const char* saved = std::getenv("DFSIM_JOBS");
   const std::string saved_value = saved ? saved : "";
 
   ::setenv("DFSIM_JOBS", "7", 1);
-  EXPECT_EQ(ParallelRunner::resolve_jobs(3, 1), 3);  // explicit wins
-  EXPECT_EQ(ParallelRunner::resolve_jobs(0, 1), 7);  // env next
-  EXPECT_EQ(ParallelRunner(0).jobs(), 7);
+  EXPECT_EQ(resolve_jobs(3, 1), 3);  // explicit wins
+  EXPECT_EQ(resolve_jobs(0, 1), 7);  // env next
+  {
+    const SubmissionQueue queue(0);
+    EXPECT_EQ(queue.jobs(), 7);
+  }
 
   ::unsetenv("DFSIM_JOBS");
-  EXPECT_EQ(ParallelRunner::resolve_jobs(0, 2), 2);
-  EXPECT_EQ(ParallelRunner::resolve_jobs(0, 0), 1);  // fallback clamped to 1
+  EXPECT_EQ(resolve_jobs(0, 2), 2);
+  EXPECT_EQ(resolve_jobs(0, 0), 1);  // fallback clamped to 1
 
   if (saved) {
     ::setenv("DFSIM_JOBS", saved_value.c_str(), 1);
   }
 }
 
-// A malformed DFSIM_JOBS used to be swallowed silently — std::atoi turned
-// "4x" into 4 workers and "abc" into the fallback, so a typo'd environment
-// ran with the wrong parallelism and nobody noticed. It now fails loudly,
-// full-string and positive-only, like any bad config value.
-TEST(ParallelRunner, ResolveJobsRejectsMalformedEnvLoudly) {
+// A malformed DFSIM_JOBS fails loudly, full-string and positive-only, like
+// any bad config value — never silently truncated ("4x" -> 4) or ignored.
+TEST(ParallelJobs, ResolveJobsRejectsMalformedEnvLoudly) {
   const char* saved = std::getenv("DFSIM_JOBS");
   const std::string saved_value = saved ? saved : "";
 
   for (const char* bad : {"not-a-number", "4x", "", " 4", "0", "-3", "1e3",
                           "99999999999999999999"}) {
     ::setenv("DFSIM_JOBS", bad, 1);
-    EXPECT_THROW(ParallelRunner::resolve_jobs(0, 5), std::invalid_argument) << bad;
+    EXPECT_THROW(resolve_jobs(0, 5), std::invalid_argument) << bad;
     // An explicit request never consults the env, so it still works.
-    EXPECT_EQ(ParallelRunner::resolve_jobs(3, 5), 3) << bad;
+    EXPECT_EQ(resolve_jobs(3, 5), 3) << bad;
+  }
+  ::setenv("DFSIM_JOBS", "4x", 1);
+  try {
+    resolve_jobs(0, 5);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "DFSIM_JOBS must be a positive integer, got '4x'");
   }
 
   if (saved) {
@@ -159,26 +88,59 @@ TEST(ParallelRunner, ResolveJobsRejectsMalformedEnvLoudly) {
   }
 }
 
-TEST(ParallelRunner, HardwareJobsIsAtLeastOneAndMemoryCapped) {
-  // The worker cap is no longer a fixed 12: with the read-only plan factored
-  // into the shared SystemBlueprint, it derives from physical memory at
-  // kCellBudgetBytes per in-flight cell (clamped to [1, 256]; 12 remains the
-  // fallback when the platform cannot report memory).
-  const int cap = ParallelRunner::memory_jobs_cap();
+TEST(ParallelJobs, HardwareJobsIsAtLeastOneAndMemoryCapped) {
+  // The worker cap derives from available memory at kCellBudgetBytes per
+  // in-flight cell (clamped to [1, 256]; 12 is the fallback when the
+  // platform cannot report memory).
+  const int cap = memory_jobs_cap();
   EXPECT_GE(cap, 1);
   EXPECT_LE(cap, 256);
-  const int jobs = ParallelRunner::hardware_jobs();
+  const int jobs = hardware_jobs();
   EXPECT_GE(jobs, 1);
   EXPECT_LE(jobs, cap);
+}
+
+// --- campaigns through run_plan: byte-identical for any worker count --------
+
+/// A seed sweep as the CLI's --sweep runs it: a seeds-axis custom plan whose
+/// reports aggregate in seed order.
+SweepSummary run_sweep(int jobs) {
+  ExperimentPlan plan;
+  plan.mode = PlanMode::kCustom;
+  plan.seeds = SeedSweep(42, 6).seeds();
+  plan.custom = [](const PlanCell& cell) { return tiny_experiment(cell.config.seed); };
+  CollectSink sink;
+  EXPECT_TRUE(run_plan(plan, sink, jobs).all_ok());
+  return SeedSweep::aggregate(sink.reports());
+}
+
+std::string sweep_json(int jobs) { return sweep_to_json(run_sweep(jobs)); }
+
+std::string jsonl_of(const ExperimentPlan& plan, int jobs) {
+  std::ostringstream out;
+  JsonlSink sink(out);
+  // No cell may fail; truncated (time-limited) cells still emit a line.
+  EXPECT_TRUE(run_plan(plan, sink, jobs).failures.empty());
+  return out.str();
+}
+
+/// Two routings x UR against {None, CosmoFlow} on the tiny machine.
+ExperimentPlan tiny_pairwise_plan() {
+  ExperimentPlan plan;
+  plan.base = tiny_config();
+  plan.mode = PlanMode::kPairwise;
+  plan.routings = {"MIN", "UGALg"};
+  plan.targets = {"UR"};
+  plan.backgrounds = {"None", "CosmoFlow"};
+  return plan;
 }
 
 // The acceptance bar for the parallel sweep: four workers must produce a
 // SweepSummary whose JSON serialisation is byte-identical to a sequential
 // run — same seeds, same cells, same aggregation order.
 TEST(SweepParallelDeterminism, FourJobsByteIdenticalToSequential) {
-  const SeedSweep sweep(42, 6);
-  const SweepSummary sequential = sweep.run(tiny_experiment, 1);
-  const SweepSummary parallel = sweep.run(tiny_experiment, 4);
+  const SweepSummary sequential = run_sweep(1);
+  const SweepSummary parallel = run_sweep(4);
 
   EXPECT_EQ(sweep_to_json(sequential), sweep_to_json(parallel));
 
@@ -203,15 +165,14 @@ TEST(SweepParallelDeterminism, ArenaOnAndOffByteIdenticalForAnyWorkerCount) {
   struct ToggleGuard {
     ~ToggleGuard() { set_arena_enabled(true); }
   } guard;
-  const SeedSweep sweep(42, 6);
 
   set_arena_enabled(true);
-  const std::string arena_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string arena_par = sweep_to_json(sweep.run(tiny_experiment, 4));
+  const std::string arena_seq = sweep_json(1);
+  const std::string arena_par = sweep_json(4);
 
   set_arena_enabled(false);
-  const std::string fresh_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string fresh_par = sweep_to_json(sweep.run(tiny_experiment, 4));
+  const std::string fresh_seq = sweep_json(1);
+  const std::string fresh_par = sweep_json(4);
 
   EXPECT_EQ(arena_seq, fresh_seq);
   EXPECT_EQ(arena_seq, arena_par);
@@ -228,15 +189,14 @@ TEST(SweepParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) 
       set_arena_enabled(true);
     }
   } guard;
-  const SeedSweep sweep(42, 6);
 
   set_blueprint_enabled(true);
-  const std::string shared_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string shared_par = sweep_to_json(sweep.run(tiny_experiment, 4));
+  const std::string shared_seq = sweep_json(1);
+  const std::string shared_par = sweep_json(4);
 
   set_blueprint_enabled(false);
-  const std::string private_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string private_par = sweep_to_json(sweep.run(tiny_experiment, 4));
+  const std::string private_seq = sweep_json(1);
+  const std::string private_par = sweep_json(4);
 
   EXPECT_EQ(shared_seq, private_seq);
   EXPECT_EQ(shared_seq, shared_par);
@@ -245,32 +205,21 @@ TEST(SweepParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) 
   // The orthogonal knobs compose: arena off + blueprint off at four workers
   // still reproduces the fully-shared bytes.
   set_arena_enabled(false);
-  EXPECT_EQ(shared_seq, sweep_to_json(sweep.run(tiny_experiment, 4)));
+  EXPECT_EQ(shared_seq, sweep_json(4));
 }
 
 TEST(PairwiseParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
   struct ToggleGuard {
     ~ToggleGuard() { set_blueprint_enabled(true); }
   } guard;
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
-  }
-  auto run_to_json = [&](int jobs) {
-    std::string out;
-    for (const PairwiseResult& result : run_pairwise_cells(tiny_config(), cells, jobs)) {
-      out += report_to_json(result.full);
-    }
-    return out;
-  };
+  const ExperimentPlan plan = tiny_pairwise_plan();
 
   set_blueprint_enabled(true);
-  const std::string shared_seq = run_to_json(1);
-  const std::string shared_par = run_to_json(4);
+  const std::string shared_seq = jsonl_of(plan, 1);
+  const std::string shared_par = jsonl_of(plan, 4);
   set_blueprint_enabled(false);
-  const std::string private_seq = run_to_json(1);
-  const std::string private_par = run_to_json(4);
+  const std::string private_seq = jsonl_of(plan, 1);
+  const std::string private_par = jsonl_of(plan, 4);
 
   EXPECT_EQ(shared_seq, private_seq);
   EXPECT_EQ(shared_seq, shared_par);
@@ -278,35 +227,27 @@ TEST(PairwiseParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCoun
 }
 
 TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  // The Fig 10 driver needs the full 1,056-node machine (Table II node
-  // counts), so cap the simulated clock hard: the comparison needs identical
-  // bytes, not converged runs, and every truncated cell still exercises the
-  // shared plan through build, placement and early traffic.
+  // The Fig 10 mix needs the full 1,056-node machine (Table II node counts),
+  // so cap the simulated clock hard: the comparison needs identical bytes,
+  // not converged runs, and every truncated cell still exercises the shared
+  // plan through build, placement and early traffic.
   struct ToggleGuard {
     ~ToggleGuard() { set_blueprint_enabled(true); }
   } guard;
-  StudyConfig config;
-  config.topo = DragonflyParams::paper();
-  config.routing = "UGALg";
-  config.scale = 256;
-  config.time_limit = 20 * kUs;
-  const std::vector<StudyConfig> configs{config};
-
-  auto run_to_json = [&](int jobs) {
-    std::string out;
-    for (const MixedSuite& suite : run_mixed_suites(configs, jobs)) {
-      out += report_to_json(suite.mix);
-      for (const Report& solo : suite.solos) out += report_to_json(solo);
-    }
-    return out;
-  };
+  ExperimentPlan plan;
+  plan.base.topo = DragonflyParams::paper();
+  plan.base.routing = "UGALg";
+  plan.base.scale = 256;
+  plan.base.time_limit = 20 * kUs;
+  plan.mode = PlanMode::kMixed;
+  plan.mixed_solos = true;
 
   set_blueprint_enabled(true);
-  const std::string shared_seq = run_to_json(1);
-  const std::string shared_par = run_to_json(4);
+  const std::string shared_seq = jsonl_of(plan, 1);
+  const std::string shared_par = jsonl_of(plan, 4);
   set_blueprint_enabled(false);
-  const std::string private_seq = run_to_json(1);
-  const std::string private_par = run_to_json(4);
+  const std::string private_seq = jsonl_of(plan, 1);
+  const std::string private_par = jsonl_of(plan, 4);
 
   EXPECT_EQ(shared_seq, private_seq);
   EXPECT_EQ(shared_seq, shared_par);
@@ -314,21 +255,32 @@ TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) 
 }
 
 TEST(PairwiseParallelDeterminism, CellBatchMatchesIndividualRuns) {
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
+  const ExperimentPlan plan = tiny_pairwise_plan();
+  CollectSink sink;
+  ASSERT_TRUE(run_plan(plan, sink, 2).all_ok());
+  ASSERT_EQ(sink.reports().size(), 4u);
+  for (const PlanCell& cell : sink.cells()) {
+    const PairwiseResult solo = run_pairwise(cell.config, cell.target, cell.background);
+    EXPECT_EQ(report_to_json(sink.reports()[cell.index]), report_to_json(solo.full))
+        << "cell " << cell.index;
   }
-  const std::vector<PairwiseResult> batch = run_pairwise_cells(tiny_config(), cells, 2);
-  ASSERT_EQ(batch.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    StudyConfig config = tiny_config(cells[i].routing);
-    const PairwiseResult solo = run_pairwise(config, cells[i].target, cells[i].background);
-    EXPECT_EQ(report_to_json(batch[i].full), report_to_json(solo.full)) << "cell " << i;
-    EXPECT_EQ(batch[i].routing, cells[i].routing);
-    EXPECT_EQ(batch[i].target, cells[i].target);
-    EXPECT_EQ(batch[i].background, cells[i].background);
-  }
+}
+
+// A local run_plan builds a private pool with no more workers than cells:
+// asking for eight workers on a two-cell plan starts two.
+TEST(PlanParallelPool, PrivateQueueIsCappedAtTheCellCount) {
+  ExperimentPlan plan;
+  plan.mode = PlanMode::kCustom;
+  plan.seeds = {1, 2};
+  plan.custom = [](const PlanCell&) {
+    Report report;
+    report.completed = true;
+    return report;
+  };
+  CollectSink sink;
+  const PlanOutcome outcome = run_plan(plan, sink, 8);
+  EXPECT_TRUE(outcome.all_ok());
+  EXPECT_EQ(outcome.worker_errors.workers.size(), 2u);
 }
 
 // --- SubmissionQueue: the daemon's persistent pool ---------------------------
@@ -345,6 +297,15 @@ TEST(SubmissionQueue, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(total.load(), 17);
 }
 
+// More workers than the other pool tests and an index count that no worker
+// count divides evenly, so the last partial round of claims is exercised.
+TEST(SubmissionQueue, RunIndexedCoversEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(257);
+  for (auto& hit : hits) hit = 0;
+  SubmissionQueue(8).run_indexed(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
 TEST(SubmissionQueue, ConcurrentSubmissionsInterleaveAndBothComplete) {
   SubmissionQueue queue(2);
   std::atomic<int> a{0};
@@ -355,6 +316,48 @@ TEST(SubmissionQueue, ConcurrentSubmissionsInterleaveAndBothComplete) {
   second.join();
   EXPECT_EQ(a.load(), 40);
   EXPECT_EQ(b.load(), 40);
+}
+
+// Results land in slots indexed by task, so a table printed from them is in
+// task order however the workers interleave.
+TEST(SubmissionQueue, IndexedSlotsKeepTaskOrder) {
+  std::vector<int> results(64);
+  SubmissionQueue(4).run_indexed(results.size(), [&](std::size_t i) {
+    results[i] = static_cast<int>(i * i);
+  });
+  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], static_cast<int>(i * i));
+}
+
+TEST(SubmissionQueue, CollectModeAttemptsEveryIndexAndRecordsEachFailure) {
+  // Nothing is rethrown and nothing is skipped: every index runs, and each
+  // worker's failure count and first message land in the WorkerErrors.
+  std::vector<std::atomic<int>> hits(64);
+  for (auto& hit : hits) hit = 0;
+  WorkerErrors errors;
+  SubmissionQueue(4).run_indexed(
+      hits.size(),
+      [&](std::size_t i) {
+        ++hits[i];
+        if (i % 7 == 3) throw std::runtime_error("index " + std::to_string(i));
+      },
+      &errors);
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (i % 7 == 3) ++expected;
+  }
+  EXPECT_EQ(errors.workers.size(), 4u);
+  EXPECT_EQ(errors.total(), expected);
+  EXPECT_TRUE(errors.any());
+  EXPECT_NE(errors.summary().find("failure"), std::string::npos);
+}
+
+TEST(SubmissionQueue, CollectModeIsEmptyOnACleanRun) {
+  WorkerErrors errors;
+  SubmissionQueue(4).run_indexed(32, [](std::size_t) {}, &errors);
+  EXPECT_FALSE(errors.any());
+  EXPECT_EQ(errors.total(), 0u);
+  EXPECT_TRUE(errors.summary().empty());
 }
 
 TEST(SubmissionQueue, CollectsExceptionsLikeParallelRunnerCollectMode) {
@@ -371,7 +374,29 @@ TEST(SubmissionQueue, CollectsExceptionsLikeParallelRunnerCollectMode) {
   EXPECT_EQ(calls.load(), 8);  // nothing rethrown, every cell attempted
   EXPECT_EQ(errors.total(), 2u);
   ASSERT_EQ(errors.workers.size(), 1u);
+  EXPECT_EQ(errors.workers[0].failures, 2u);
   EXPECT_NE(errors.workers[0].first.find("boom at 2"), std::string::npos);
+}
+
+// One worker claims indices in ascending order and keeps going past each
+// failure, so the message it keeps is the lowest failing index's.
+TEST(SubmissionQueue, CollectModeSequentialKeepsGoingAndKeepsTheFirstMessage) {
+  WorkerErrors errors;
+  std::vector<std::size_t> order;  // written by the single worker only
+  SubmissionQueue(1).run_indexed(
+      8,
+      [&](std::size_t i) {
+        order.push_back(i);
+        if (i == 2 || i == 5) throw std::runtime_error("boom at " + std::to_string(i));
+      },
+      &errors);
+  const std::vector<std::size_t> ascending{0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(order, ascending);
+  EXPECT_EQ(errors.total(), 2u);
+  ASSERT_EQ(errors.workers.size(), 1u);
+  EXPECT_EQ(errors.workers[0].failures, 2u);
+  EXPECT_NE(errors.workers[0].first.find("boom at 2"), std::string::npos);
+  EXPECT_EQ(errors.workers[0].first.find("boom at 5"), std::string::npos);
 }
 
 // The reason the queue exists: campaigns submitted one after the other share

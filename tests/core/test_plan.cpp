@@ -1,7 +1,6 @@
 // Tests for the unified campaign core (core/plan.hpp): deterministic
-// expansion, streaming sinks, jobs-independence, config-file plans, and
-// byte-identical equivalence of the legacy driver shims (SeedSweep,
-// run_pairwise_cells, run_mixed_suites) with hand-rolled references.
+// expansion, streaming sinks, jobs-independence, fault isolation, resume,
+// sharding and config-file plans.
 
 #include "core/plan.hpp"
 
@@ -20,9 +19,6 @@
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
-#include "core/pairwise.hpp"
-#include "core/parallel.hpp"
-#include "core/sweep.hpp"
 
 namespace dfly {
 namespace {
@@ -135,19 +131,6 @@ TEST(PlanExpansion, PairwiseProductIsTargetMajorWithinAxisPoint) {
   for (const PlanCell& cell : cells) EXPECT_EQ(cell.kind, PlanCellKind::kPairwise);
 }
 
-TEST(PlanExpansion, PairwiseListIsUsedVerbatim) {
-  ExperimentPlan plan;
-  plan.base = tiny_config("PAR");
-  plan.mode = PlanMode::kPairwise;
-  plan.pairwise_list = {{"UR", "", ""}, {"FFT3D", "None", "MIN"}, {"UR", "CosmoFlow", ""}};
-  const std::vector<PlanCell> cells = plan.expand();
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[0].background, "None");  // empty background normalised
-  EXPECT_EQ(cells[0].config.routing, "PAR");
-  EXPECT_EQ(cells[1].config.routing, "MIN");  // per-cell override
-  EXPECT_EQ(cells[2].background, "CosmoFlow");
-}
-
 TEST(PlanExpansion, MixedEmitsTheMixThenSolosInTable2Order) {
   ExperimentPlan plan;
   plan.base = tiny_config();
@@ -166,15 +149,6 @@ TEST(PlanExpansion, MixedEmitsTheMixThenSolosInTable2Order) {
 
   plan.mixed_solos = false;
   EXPECT_EQ(plan.expand().size(), 2u);
-}
-
-TEST(PlanExpansion, ConfigListReplacesTheAxisProduct) {
-  ExperimentPlan plan = tiny_single_plan();
-  plan.routings = {"MIN", "PAR"};  // ignored once config_list is set
-  plan.config_list = {tiny_config("Q-adp")};
-  const std::vector<PlanCell> cells = plan.expand();
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].config.routing, "Q-adp");
 }
 
 TEST(PlanValidation, RejectsBadPlans) {
@@ -312,9 +286,6 @@ TEST(PlanParallelIsolation, ThrowingCellsAreRecordedAndSurvivorsMatchFreshRuns) 
   ASSERT_EQ(sink.failures().size(), 2u);
   EXPECT_EQ(sink.failures()[0].index, 2u);
 
-  // rethrow_any gives the legacy fail-fast surface the original exception.
-  EXPECT_THROW(outcome.rethrow_any(), std::runtime_error);
-
   struct ToggleGuard {
     ~ToggleGuard() {
       set_arena_enabled(true);
@@ -329,21 +300,6 @@ TEST(PlanParallelIsolation, ThrowingCellsAreRecordedAndSurvivorsMatchFreshRuns) 
               report_to_json(tiny_experiment(plan.seeds[i])))
         << "survivor cell " << i;
   }
-}
-
-TEST(PlanParallelIsolation, LegacyShimsStillFailFast) {
-  // The pre-isolation drivers (SeedSweep, pairwise, mixed shims) keep their
-  // contract: the first cell exception propagates out of run().
-  const SeedSweep sweep(1, 4);
-  EXPECT_THROW(sweep.run(
-                   [](std::uint64_t seed) -> Report {
-                     if (seed == 3) throw std::runtime_error("cell 3 failed");
-                     Report report;
-                     report.completed = true;
-                     return report;
-                   },
-                   2),
-               std::runtime_error);
 }
 
 TEST(PlanExecution, TransientFailuresAreRetriedUntilSuccess) {
@@ -615,76 +571,6 @@ TEST(PlanExecution, CustomCellsSeeTheResolvedConfig) {
   ASSERT_EQ(sink.reports().size(), 4u);
   EXPECT_EQ(sink.reports()[0].routing, "MIN/5");
   EXPECT_EQ(sink.reports()[3].routing, "PAR/6");
-}
-
-// --- legacy shims are byte-identical to hand-rolled references ---------------
-
-TEST(PlanShimParallelEquivalence, SeedSweepMatchesDirectParallelRunner) {
-  const SeedSweep sweep(42, 5);
-  // Pre-plan reference: ParallelRunner straight over the seed list.
-  for (const int jobs : {1, 4}) {
-    std::vector<Report> reports(sweep.seeds().size());
-    ParallelRunner(jobs).run_indexed(reports.size(), [&](std::size_t i) {
-      reports[i] = tiny_experiment(sweep.seeds()[i]);
-    });
-    const SweepSummary reference = SeedSweep::aggregate(reports);
-    const SweepSummary shimmed = sweep.run(tiny_experiment, jobs);
-    EXPECT_EQ(sweep_to_json(reference), sweep_to_json(shimmed)) << "jobs=" << jobs;
-  }
-}
-
-TEST(PlanShimParallelEquivalence, PairwiseCellsMatchDirectRuns) {
-  const StudyConfig base = tiny_config();
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
-  }
-  cells.push_back(PairwiseCell{"FFT3D", "", ""});  // base routing, no background
-  for (const int jobs : {1, 4}) {
-    const std::vector<PairwiseResult> shimmed = run_pairwise_cells(base, cells, jobs);
-    ASSERT_EQ(shimmed.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      StudyConfig config = base;
-      if (!cells[i].routing.empty()) config.routing = cells[i].routing;
-      const PairwiseResult reference = run_pairwise(config, cells[i].target, cells[i].background);
-      EXPECT_EQ(report_to_json(shimmed[i].full), report_to_json(reference.full))
-          << "jobs=" << jobs << " cell=" << i;
-      EXPECT_EQ(shimmed[i].routing, reference.routing);
-      EXPECT_EQ(shimmed[i].target, reference.target);
-      EXPECT_EQ(shimmed[i].background, reference.background);
-      EXPECT_EQ(report_to_json(Report{.routing = shimmed[i].routing,
-                                      .apps = {shimmed[i].target_report}}),
-                report_to_json(Report{.routing = reference.routing,
-                                      .apps = {reference.target_report}}));
-      EXPECT_EQ(shimmed[i].background_report.app, reference.background_report.app);
-    }
-  }
-}
-
-TEST(PlanShimParallelEquivalence, MixedSuitesMatchDirectRuns) {
-  // Full paper machine (Table II node counts) with a hard clock cap: the
-  // comparison needs identical bytes, not converged runs.
-  StudyConfig config;
-  config.topo = DragonflyParams::paper();
-  config.routing = "UGALg";
-  config.scale = 256;
-  config.time_limit = 20 * kUs;
-  const std::vector<StudyConfig> configs{config};
-
-  std::string reference;
-  reference += report_to_json(run_mixed(config));
-  for (const MixedJobSpec& spec : table2_mix()) {
-    reference += report_to_json(run_mixed_solo(config, spec.app));
-  }
-  for (const int jobs : {1, 4}) {
-    const std::vector<MixedSuite> suites = run_mixed_suites(configs, jobs);
-    ASSERT_EQ(suites.size(), 1u);
-    std::string shimmed = report_to_json(suites[0].mix);
-    for (const Report& solo : suites[0].solos) shimmed += report_to_json(solo);
-    EXPECT_EQ(shimmed, reference) << "jobs=" << jobs;
-  }
-  EXPECT_TRUE(run_mixed_suites({}, 1).empty());
 }
 
 // --- differently-shaped cells through one shared cache/arena -----------------

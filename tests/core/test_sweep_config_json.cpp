@@ -10,6 +10,7 @@
 
 #include "core/config_file.hpp"
 #include "core/json_report.hpp"
+#include "core/plan.hpp"
 #include "core/sweep.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -28,13 +29,25 @@ Report run_shift(std::uint64_t seed, const std::string& routing = "PAR") {
   return study.run();
 }
 
+/// A sweep as the CLI runs one: a seeds-axis plan of run_shift cells,
+/// aggregated in seed order.
+SweepSummary sweep_shift(const SeedSweep& sweep) {
+  ExperimentPlan plan;
+  plan.mode = PlanMode::kCustom;
+  plan.seeds = sweep.seeds();
+  plan.custom = [](const PlanCell& cell) { return run_shift(cell.config.seed); };
+  CollectSink sink;
+  EXPECT_TRUE(run_plan(plan, sink).all_ok());
+  return SeedSweep::aggregate(sink.reports());
+}
+
 // --- SeedSweep ---------------------------------------------------------------
 
 TEST(SeedSweep, AggregatesAcrossSeeds) {
   const SeedSweep sweep(100, 5);
   ASSERT_EQ(sweep.seeds().size(), 5u);
   EXPECT_EQ(sweep.seeds()[4], 104u);
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+  const SweepSummary summary = sweep_shift(sweep);
   EXPECT_EQ(summary.runs, 5);
   EXPECT_EQ(summary.completed_runs, 5);
   ASSERT_EQ(summary.apps.size(), 1u);
@@ -50,7 +63,7 @@ TEST(SeedSweep, AggregatesAcrossSeeds) {
 
 TEST(SeedSweep, SingleSeedHasZeroCi) {
   const SeedSweep sweep(7, 1);
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+  const SweepSummary summary = sweep_shift(sweep);
   EXPECT_EQ(summary.apps[0].comm_ms.n, 1);
   EXPECT_EQ(summary.apps[0].comm_ms.ci95_half, 0.0);
   EXPECT_EQ(summary.apps[0].comm_ms.stddev, 0.0);
@@ -58,7 +71,7 @@ TEST(SeedSweep, SingleSeedHasZeroCi) {
 
 TEST(SeedSweep, IdenticalSeedsGiveZeroSpread) {
   const SeedSweep sweep(std::vector<std::uint64_t>{42, 42, 42});
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+  const SweepSummary summary = sweep_shift(sweep);
   EXPECT_NEAR(summary.apps[0].comm_ms.stddev, 0.0, 1e-9);
   EXPECT_EQ(summary.makespan_ms.min, summary.makespan_ms.max);
 }
@@ -70,6 +83,15 @@ TEST(SeedSweep, Validation) {
   const SweepSummary summary = SeedSweep::aggregate({run_shift(1)});
   EXPECT_THROW(summary.app("nope"), std::out_of_range);
   EXPECT_NO_THROW(summary.app("Shift"));
+
+  // Same app count, different apps: {UR} and {FFT3D} must not be averaged.
+  Report ur;
+  ur.apps.push_back(AppReport{.app = "UR"});
+  Report fft;
+  fft.apps.push_back(AppReport{.app = "FFT3D"});
+  EXPECT_THROW(SeedSweep::aggregate({ur, fft}), std::invalid_argument);
+  EXPECT_THROW(SeedSweep::aggregate({ur, Report{}}), std::invalid_argument);
+  EXPECT_NO_THROW(SeedSweep::aggregate({ur, ur}));
 }
 
 // --- ConfigFile ----------------------------------------------------------------
@@ -396,8 +418,7 @@ TEST(ReportJson, ContainsKeyMetrics) {
 
 TEST(SweepJson, ContainsStats) {
   const SeedSweep sweep(50, 3);
-  const SweepSummary summary =
-      sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+  const SweepSummary summary = sweep_shift(sweep);
   const std::string json = sweep_to_json(summary);
   EXPECT_NE(json.find("\"runs\":3"), std::string::npos);
   EXPECT_NE(json.find("\"ci95_half\""), std::string::npos);

@@ -122,28 +122,28 @@ class CellThreadsEnvGuard {
 TEST(PdesResolve, ExplicitThenEnvThenSequential) {
   CellThreadsEnvGuard guard;
   ::setenv("DFSIM_CELL_THREADS", "3", 1);
-  EXPECT_EQ(ParallelRunner::resolve_cell_threads(2), 2);  // explicit wins
-  EXPECT_EQ(ParallelRunner::resolve_cell_threads(0), 3);  // env next
+  EXPECT_EQ(resolve_cell_threads(2), 2);  // explicit wins
+  EXPECT_EQ(resolve_cell_threads(0), 3);  // env next
   ::unsetenv("DFSIM_CELL_THREADS");
-  EXPECT_EQ(ParallelRunner::resolve_cell_threads(0), 1);  // default: sequential
+  EXPECT_EQ(resolve_cell_threads(0), 1);  // default: sequential
 }
 
 TEST(PdesResolve, MalformedEnvThrows) {
   CellThreadsEnvGuard guard;
   for (const char* bad : {"", "abc", "4x", "0", "-2", "2 "}) {
     ::setenv("DFSIM_CELL_THREADS", bad, 1);
-    EXPECT_THROW(ParallelRunner::resolve_cell_threads(0), std::invalid_argument) << bad;
-    EXPECT_EQ(ParallelRunner::resolve_cell_threads(2), 2) << bad;  // explicit bypasses
+    EXPECT_THROW(resolve_cell_threads(0), std::invalid_argument) << bad;
+    EXPECT_EQ(resolve_cell_threads(2), 2) << bad;  // explicit bypasses
   }
 }
 
 TEST(PdesResolve, OversubscriptionTightensJobCaps) {
   // More domains per cell -> bigger per-cell budget -> at most as many
   // concurrent cells; both caps stay usable (>= 1).
-  EXPECT_LE(ParallelRunner::memory_jobs_cap(4), ParallelRunner::memory_jobs_cap(1));
-  EXPECT_GE(ParallelRunner::memory_jobs_cap(4), 1);
-  EXPECT_LE(ParallelRunner::hardware_jobs(4), ParallelRunner::hardware_jobs(1));
-  EXPECT_GE(ParallelRunner::hardware_jobs(4), 1);
+  EXPECT_LE(memory_jobs_cap(4), memory_jobs_cap(1));
+  EXPECT_GE(memory_jobs_cap(4), 1);
+  EXPECT_LE(hardware_jobs(4), hardware_jobs(1));
+  EXPECT_GE(hardware_jobs(4), 1);
 }
 
 TEST(PdesResolve, RoutingEligibility) {

@@ -681,12 +681,20 @@ int main(int argc, char** argv) {
       }
       return report.completed ? 0 : 2;
     }
-    // Multi-seed sweep: the cells shard across --jobs workers (results are
-    // identical for any worker count); aggregate, print, optionally dump JSON.
-    const SeedSweep sweep(options.config.seed, options.sweep);
-    const SweepSummary summary = sweep.run(
-        [&options](std::uint64_t seed) { return run_once(options, seed, false); },
-        options.jobs);
+    // Multi-seed sweep: a seeds-axis plan whose cells shard across --jobs
+    // workers (results are identical for any worker count); aggregate, print,
+    // optionally dump JSON. A failed cell fails the whole sweep.
+    ExperimentPlan plan;
+    plan.name = "seed_sweep";
+    plan.mode = PlanMode::kCustom;
+    plan.seeds = SeedSweep(options.config.seed, options.sweep).seeds();
+    plan.custom = [&options](const PlanCell& cell) {
+      return run_once(options, cell.config.seed, false);
+    };
+    CollectSink sink;
+    const PlanOutcome outcome = run_plan(plan, sink, options.jobs);
+    if (!outcome.failures.empty()) throw std::runtime_error(outcome.failures.front().message);
+    const SweepSummary summary = SeedSweep::aggregate(sink.reports());
     viz::AsciiTable table({"app", "comm_ms mean", "ci95", "min", "max"});
     for (const AppSweep& app : summary.apps) {
       table.row(app.app, {app.comm_ms.mean, app.comm_ms.ci95_half, app.comm_ms.min,
