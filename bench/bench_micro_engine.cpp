@@ -2,15 +2,18 @@
 // throughput and the end-to-end simulator packet rate. These bound how
 // large a --scale the experiment benches can afford.
 //
-// The Legacy* benchmarks reproduce the seed implementation's event queue
-// (std::push_heap/std::pop_heap binary heap, one pop per event) so the
-// index-based 4-ary heap + same-timestamp batch pop in Engine is *measured*
-// against its predecessor, not asserted: compare BM_Legacy<X> with
-// BM_Engine<X> items_per_second on the same workload.
-
+// Each BM_Engine<X> has a BM_Legacy<X> twin on the seed implementation's
+// event queue (std::push_heap/std::pop_heap binary heap, one pop per event),
+// so the Engine's queue — delay lanes merged by a winner tree in front of a
+// 4-ary overflow heap — is *measured* against its predecessor, not asserted:
+// compare items_per_second on the same workload. NetworkDelays draws delays
+// from the mix a paper cell schedules (seven NetConfig sums carry ~97%);
+// RandomHeap and SteadyState draw every delay at random, the lanes' worst
+// case, where nearly all events take the overflow heap.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -262,8 +265,92 @@ BENCHMARK(BM_LegacySteadyState)
     ->Arg(30000)
     ->Unit(benchmark::kMillisecond);
 
+/// The measured delay mix of a paper cell: 97% of schedules use one of seven
+/// delays (ps), the rest one of ~10^6 random ones. Pre-drawn into a table so
+/// the Rng does not dominate the per-event cost.
+class NetworkDelayMix {
+ public:
+  NetworkDelayMix() {
+    static constexpr std::array<SimTime, 7> kDelays = {0,      20480,  30000, 50480,
+                                                       150480, 300000, 420480};
+    Rng rng(3);
+    for (SimTime& delay : table_) {
+      delay = rng.next_below(100) < 97
+                  ? kDelays[rng.next_below(kDelays.size())]
+                  : static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(kUs))) + 1;
+    }
+  }
+  SimTime next() { return table_[next_++ & (table_.size() - 1)]; }
+
+ private:
+  std::array<SimTime, 1 << 16> table_{};
+  std::size_t next_{0};
+};
+
+class NetworkDelaysComponent final : public Component {
+ public:
+  void handle(Engine& engine, const Event& event) override {
+    if (event.a > 0) engine.schedule_in(mix_.next(), *this, 0, event.a - 1);
+  }
+
+ private:
+  NetworkDelayMix mix_;
+};
+
+/// Steady state at a cell's queue depth (2k: daemon_burst cells; 20k: the
+/// 1,056-node paper cell) under the measured delay mix.
+void BM_EngineNetworkDelays(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const std::uint64_t rounds = 20;
+  EngineStats engine_stats;
+  for (auto _ : state) {
+    Engine engine;
+    NetworkDelaysComponent component;
+    Rng rng(2);
+    for (int i = 0; i < depth; ++i) {
+      const auto start = static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(kUs)));
+      engine.schedule_at(start, component, 0, rounds);
+    }
+    engine.run();
+    engine_stats = engine.stats();
+  }
+  report_engine_stats(state, engine_stats);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * depth *
+                          static_cast<std::int64_t>(rounds + 1));
+}
+BENCHMARK(BM_EngineNetworkDelays)->Arg(2000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+class LegacyNetworkDelaysSink final : public LegacyEngine::Sink {
+ public:
+  void on_event(LegacyEngine& engine, const Event& event) override {
+    if (event.a > 0) engine.schedule_at(engine.now() + mix_.next(), *this, 0, event.a - 1);
+  }
+
+ private:
+  NetworkDelayMix mix_;
+};
+
+/// Baseline for BM_EngineNetworkDelays on the seed's binary heap.
+void BM_LegacyNetworkDelays(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const std::uint64_t rounds = 20;
+  for (auto _ : state) {
+    LegacyEngine engine;
+    LegacyNetworkDelaysSink sink;
+    Rng rng(2);
+    for (int i = 0; i < depth; ++i) {
+      const auto start = static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(kUs)));
+      engine.schedule_at(start, sink, 0, rounds);
+    }
+    engine.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * depth *
+                          static_cast<std::int64_t>(rounds + 1));
+}
+BENCHMARK(BM_LegacyNetworkDelays)->Arg(2000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
 /// Same-timestamp floods: many events per distinct time, the shape produced
-/// by synchronised collectives. Exercises Engine::run's batch pop.
+/// by synchronised collectives: one lane per timestamp's delay.
 void BM_EngineSameTimeFlood(benchmark::State& state) {
   const int timestamps = 1000;
   const int per_timestamp = static_cast<int>(state.range(0));

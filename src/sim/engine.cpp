@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -55,7 +56,8 @@ void Engine::schedule_at(SimTime when, Component& target, std::uint32_t kind,
     pdes_->on_schedule(*this, when, target, kind, a, b);
     return;
   }
-  push(make_key(when, next_seq_++), Payload{&target, kind, a, b});
+  queue_.push(when - now_, make_key(when, next_seq_++), Payload{&target, kind, a, b});
+  note_queued();
 }
 
 void Engine::call_at(SimTime when, InlineFn fn) {
@@ -84,23 +86,244 @@ void Engine::release_closure(std::uint32_t slot) {
   --live_closures_;
 }
 
-void Engine::push(HeapKey key, Payload load) {
-  // Grow both arrays together (and skip the tiny-doubling phase) so the two
-  // vectors reallocate in lockstep instead of twice as often as one.
-  if (keys_.size() == keys_.capacity()) {
-    const std::size_t cap = keys_.empty() ? 256 : keys_.size() * 2;
-    keys_.reserve(cap);
-    payloads_.reserve(cap);
-  }
-  keys_.push_back(key);
-  payloads_.push_back(load);
-  if (keys_.size() > peak_queued_) peak_queued_ = keys_.size();
-  sift_up(keys_.size() - 1);
+// ---------------------------------------------------------------------------
+// EventQueue
+
+std::size_t Engine::EventQueue::home_slot(SimTime delay) {
+  // Fibonacci hash: the recurring delays are multiples of a few ps
+  // constants, so the multiplier's high bits spread them over the table.
+  const std::uint64_t mixed = static_cast<std::uint64_t>(delay) * 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(mixed >> 32) & (kSlots - 1);
 }
 
-Engine::Entry Engine::pop_min() {
-  const Entry top{keys_.front(), payloads_.front()};
-  const std::size_t last = keys_.size() - 1;
+Engine::EventQueue::EventQueue() { reset_lanes(); }
+
+Engine::EventQueue::EventQueue(EventQueue&& other) noexcept { *this = std::move(other); }
+
+Engine::EventQueue& Engine::EventQueue::operator=(EventQueue&& other) noexcept {
+  if (this == &other) return *this;
+  heap_keys_ = std::move(other.heap_keys_);
+  heap_loads_ = std::move(other.heap_loads_);
+  slabs_ = std::move(other.slabs_);
+  lanes_ = other.lanes_;
+  head_key_ = other.head_key_;
+  head_lane_ = other.head_lane_;
+  heads_ = other.heads_;
+  slot_delay_ = other.slot_delay_;
+  slot_lane_ = other.slot_lane_;
+  empty_lanes_ = other.empty_lanes_;
+  bound_lanes_ = other.bound_lanes_;
+  lane_events_ = other.lane_events_;
+  slab_ = other.slab_;
+  slab_pos_ = other.slab_pos_;
+  free_blocks_ = other.free_blocks_;
+  // The lanes' block pointers now belong to *this: leave `other` empty and
+  // storage-free rather than aliasing them.
+  other.heap_keys_.clear();
+  other.heap_loads_.clear();
+  other.slabs_.clear();
+  other.reset_lanes();
+  return *this;
+}
+
+void Engine::EventQueue::reset_lanes() {
+  lanes_.fill(Lane{});
+  head_key_.fill(kNoKey);
+  heads_ = 0;
+  slot_lane_.fill(0);
+  empty_lanes_ = ~LaneMask{0};
+  bound_lanes_ = 0;
+  lane_events_ = 0;
+  slab_ = 0;
+  slab_pos_ = 0;
+  free_blocks_ = nullptr;
+}
+
+void Engine::EventQueue::clear() {
+  heap_keys_.clear();
+  heap_loads_.clear();
+  reset_lanes();
+}
+
+std::size_t Engine::EventQueue::capacity() const {
+  return heap_keys_.capacity() + pooled_blocks() * kBlockEvents;
+}
+
+void Engine::EventQueue::reserve(std::size_t events) {
+  if (heap_keys_.capacity() < events) {
+    heap_keys_.reserve(events);
+    heap_loads_.reserve(events);
+  }
+  // A lane holding n events spans at most n / kBlockEvents + 2 blocks (a
+  // partly-popped head and a partly-filled tail), and an empty bound lane
+  // keeps one block: that bounds the pool whatever the delay mix.
+  while (pooled_blocks() < events / kBlockEvents + 2 * kLanes) add_slab();
+}
+
+void Engine::EventQueue::add_slab() {
+  // Default-initialised: the blocks' pages stay untouched until carved.
+  slabs_.push_back(std::unique_ptr<Block[]>(new Block[kLanes << slabs_.size()]));
+}
+
+Engine::EventQueue::Block* Engine::EventQueue::take_block() {
+  if (free_blocks_ != nullptr) {
+    Block* block = free_blocks_;
+    free_blocks_ = block->next;
+    return block;
+  }
+  if (slab_ < slabs_.size() && slab_pos_ == kLanes << slab_) {
+    ++slab_;
+    slab_pos_ = 0;
+  }
+  if (slab_ == slabs_.size()) add_slab();
+  return &slabs_[slab_][slab_pos_++];
+}
+
+int Engine::EventQueue::lane_for(SimTime delay) {
+  std::size_t slot = home_slot(delay);
+  for (; slot_lane_[slot] != 0; slot = (slot + 1) & (kSlots - 1)) {
+    if (slot_delay_[slot] == delay) return slot_lane_[slot] - 1;
+  }
+  // Unbound delay: take an empty lane, preferring one no delay holds, and
+  // give up (overflow heap) when every lane has events pending.
+  if (empty_lanes_ == 0) return -1;
+  const LaneMask unbound = empty_lanes_ & ~bound_lanes_;
+  const std::size_t lane =
+      static_cast<std::size_t>(std::countr_zero(unbound != 0 ? unbound : empty_lanes_));
+  if ((bound_lanes_ >> lane) & 1U) {
+    unbind(lane);
+    // Deletion may have shifted entries; find the insertion slot afresh.
+    slot = home_slot(delay);
+    while (slot_lane_[slot] != 0) slot = (slot + 1) & (kSlots - 1);
+  }
+  slot_delay_[slot] = delay;
+  slot_lane_[slot] = static_cast<std::uint8_t>(lane + 1);
+  bound_lanes_ |= LaneMask{1} << lane;
+  Lane& bound = lanes_[lane];
+  bound.delay = delay;
+  if (bound.tail == nullptr) bound.head = bound.tail = take_block();
+  return static_cast<int>(lane);
+}
+
+void Engine::EventQueue::unbind(std::size_t lane) {
+  constexpr std::size_t mask = kSlots - 1;
+  std::size_t hole = home_slot(lanes_[lane].delay);
+  while (slot_lane_[hole] != lane + 1) hole = (hole + 1) & mask;
+  // Backward-shift deletion (as in core/flat_map.hpp): move back every entry
+  // of the probe run whose home slot does not lie in the cyclic (hole, j].
+  for (std::size_t j = (hole + 1) & mask; slot_lane_[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home = home_slot(slot_delay_[j]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slot_delay_[hole] = slot_delay_[j];
+      slot_lane_[hole] = slot_lane_[j];
+      hole = j;
+    }
+  }
+  slot_lane_[hole] = 0;
+  bound_lanes_ &= ~(LaneMask{1} << lane);
+}
+
+void Engine::EventQueue::add_head(std::size_t lane, HeapKey key) {
+  std::size_t i = heads_++;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (head_key_[parent] < key) break;  // keys are unique: no ties to break
+    head_key_[i] = head_key_[parent];
+    head_lane_[i] = head_lane_[parent];
+    i = parent;
+  }
+  head_key_[i] = key;
+  head_lane_[i] = static_cast<std::uint8_t>(lane);
+}
+
+void Engine::EventQueue::sift_head_down(std::size_t lane, HeapKey key) {
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= heads_) break;
+    if (child + 1 < heads_ && head_key_[child + 1] < head_key_[child]) ++child;
+    if (key < head_key_[child]) break;
+    head_key_[i] = head_key_[child];
+    head_lane_[i] = head_lane_[child];
+    i = child;
+  }
+  head_key_[i] = key;
+  head_lane_[i] = static_cast<std::uint8_t>(lane);
+}
+
+void Engine::EventQueue::push(SimTime delay, HeapKey key, const Payload& load) {
+  const int index = lane_for(delay);
+  if (index < 0) {
+    push_heap(key, load);
+    return;
+  }
+  const std::size_t lane_index = static_cast<std::size_t>(index);
+  Lane& lane = lanes_[lane_index];
+  if (lane.tail_pos == kBlockEvents) {
+    Block* block = take_block();
+    lane.tail->next = block;
+    lane.tail = block;
+    lane.tail_pos = 0;
+  }
+  lane.tail->items[lane.tail_pos++] = Entry{key, load};
+  ++lane_events_;
+  const LaneMask bit = LaneMask{1} << lane_index;
+  if ((empty_lanes_ & bit) != 0) {
+    // Lanes only ever append larger keys, so only the first event of an
+    // empty lane changes the lane's head.
+    empty_lanes_ &= ~bit;
+    add_head(lane_index, key);
+  }
+}
+
+Engine::Entry Engine::EventQueue::pop_lane(std::size_t lane_index) {
+  Lane& lane = lanes_[lane_index];
+  const Entry entry = lane.head->items[lane.head_pos++];
+  --lane_events_;
+  if (lane.head == lane.tail && lane.head_pos == lane.tail_pos) {
+    lane.head_pos = 0;
+    lane.tail_pos = 0;
+    empty_lanes_ |= LaneMask{1} << lane_index;
+    // The lane leaves the lane heap: the last head takes the root's place.
+    if (--heads_ == 0) {
+      head_key_[0] = kNoKey;
+    } else {
+      sift_head_down(head_lane_[heads_], head_key_[heads_]);
+    }
+    return entry;
+  }
+  if (lane.head_pos == kBlockEvents) {
+    Block* spent = lane.head;
+    lane.head = spent->next;
+    lane.head_pos = 0;
+    spent->next = free_blocks_;
+    free_blocks_ = spent;
+  }
+  sift_head_down(lane_index, lane.head->items[lane.head_pos].key);
+  return entry;
+}
+
+Engine::Entry Engine::EventQueue::pop_front() {
+  if (!heap_keys_.empty() && heap_keys_.front() < head_key_[0]) return pop_heap();
+  return pop_lane(head_lane_[0]);
+}
+
+void Engine::EventQueue::push_heap(HeapKey key, const Payload& load) {
+  // Grow both arrays together (and skip the tiny-doubling phase) so the two
+  // vectors reallocate in lockstep instead of twice as often as one.
+  if (heap_keys_.size() == heap_keys_.capacity()) {
+    const std::size_t cap = heap_keys_.empty() ? 256 : heap_keys_.size() * 2;
+    heap_keys_.reserve(cap);
+    heap_loads_.reserve(cap);
+  }
+  heap_keys_.push_back(key);
+  heap_loads_.push_back(load);
+  sift_up(heap_keys_.size() - 1);
+}
+
+Engine::Entry Engine::EventQueue::pop_heap() {
+  const Entry top{heap_keys_.front(), heap_loads_.front()};
+  const std::size_t last = heap_keys_.size() - 1;
   if (last > 0) {
     // Bottom-up pop (the std::pop_heap strategy, on 4 lanes): sink the root
     // hole to a leaf by promoting the smallest child of each level — no
@@ -114,42 +337,44 @@ Engine::Entry Engine::pop_min() {
       const std::size_t end = first + 4 < last ? first + 4 : last;
       // Keep the running minimum in a register: the four child loads are
       // independent and pipeline, instead of each compare re-loading
-      // keys_[best] behind the previous selection.
+      // heap_keys_[best] behind the previous selection.
       std::size_t best = first;
-      HeapKey best_key = keys_[first];
+      HeapKey best_key = heap_keys_[first];
       for (std::size_t child = first + 1; child < end; ++child) {
-        const HeapKey child_key = keys_[child];
+        const HeapKey child_key = heap_keys_[child];
         if (child_key < best_key) {
           best = child;
           best_key = child_key;
         }
       }
-      keys_[hole] = best_key;
-      payloads_[hole] = payloads_[best];
+      heap_keys_[hole] = best_key;
+      heap_loads_[hole] = heap_loads_[best];
       hole = best;
     }
-    keys_[hole] = keys_[last];
-    payloads_[hole] = payloads_[last];
+    heap_keys_[hole] = heap_keys_[last];
+    heap_loads_[hole] = heap_loads_[last];
     sift_up(hole);
   }
-  keys_.pop_back();
-  payloads_.pop_back();
+  heap_keys_.pop_back();
+  heap_loads_.pop_back();
   return top;
 }
 
-void Engine::sift_up(std::size_t i) {
-  const HeapKey key = keys_[i];
-  const Payload load = payloads_[i];
+void Engine::EventQueue::sift_up(std::size_t i) {
+  const HeapKey key = heap_keys_[i];
+  const Payload load = heap_loads_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (key >= keys_[parent]) break;
-    keys_[i] = keys_[parent];
-    payloads_[i] = payloads_[parent];
+    if (key >= heap_keys_[parent]) break;
+    heap_keys_[i] = heap_keys_[parent];
+    heap_loads_[i] = heap_loads_[parent];
     i = parent;
   }
-  keys_[i] = key;
-  payloads_[i] = load;
+  heap_keys_[i] = key;
+  heap_loads_[i] = load;
 }
+
+// ---------------------------------------------------------------------------
 
 void Engine::dispatch(const Entry& entry) {
   const SimTime when = key_when(entry.key);
@@ -162,53 +387,28 @@ void Engine::dispatch(const Entry& entry) {
   entry.load.target->handle(*this, event);
 }
 
+std::optional<SimTime> Engine::next_event_time() const {
+  if (queue_.size() == 0) return std::nullopt;
+  return key_when(queue_.front_key());
+}
+
 bool Engine::step() {
-  if (batch_pos_ < batch_.size()) {  // inside a run() batch (handler re-entry)
-    dispatch(batch_[batch_pos_++]);
-    return true;
-  }
-  if (keys_.empty()) return false;
-  dispatch(pop_min());
+  if (queue_.size() == 0) return false;
+  dispatch(queue_.pop_front());
   return true;
 }
 
 std::uint64_t Engine::run(SimTime until) {
+  if (until < 0) return 0;  // event times are never negative
+  const HeapKey limit = make_key(until, ~std::uint64_t{0});
   std::uint64_t count = 0;
-  // Resume a batch interrupted by a throwing handler or a re-entrant run():
-  // its events were already popped and precede everything in the heap, so
-  // they dispatch first regardless of `until`.
-  while (batch_pos_ < batch_.size()) {
+  // The empty queue's front key exceeds every limit, so this also stops on
+  // drain. The watchdog check precedes the pop: a deadline that fires leaves
+  // the event queued.
+  while (queue_.front_key() <= limit) {
     check_wall_deadline();
-    dispatch(batch_[batch_pos_++]);
+    dispatch(queue_.pop_front());
     ++count;
-  }
-  while (!keys_.empty() && key_when(keys_.front()) <= until) {
-    check_wall_deadline();
-    const Entry entry = pop_min();
-    const SimTime when = key_when(entry.key);
-    if (keys_.empty() || key_when(keys_.front()) != when) {
-      // Unique timestamp (the common case for packet traffic): dispatch
-      // directly, no batch bookkeeping.
-      dispatch(entry);
-      ++count;
-      continue;
-    }
-    // Same-timestamp batch: drain every event at this timestamp before any
-    // of them executes. pop_min yields them in seq order, and each pop
-    // shrinks the heap before the next sift, so ties cost one short sift
-    // each instead of sifts interleaved with the pushes their handlers
-    // perform. Events that handlers schedule at this same timestamp carry
-    // larger seqs and join the next batch, preserving FIFO order.
-    batch_.clear();
-    batch_pos_ = 0;
-    batch_.push_back(entry);
-    do {
-      batch_.push_back(pop_min());
-    } while (!keys_.empty() && key_when(keys_.front()) == when);
-    while (batch_pos_ < batch_.size()) {
-      dispatch(batch_[batch_pos_++]);
-      ++count;
-    }
   }
   // Time only advances with events: when the queue drains before `until`,
   // now() stays at the last executed event (see header).
@@ -216,10 +416,7 @@ std::uint64_t Engine::run(SimTime until) {
 }
 
 void Engine::clear() {
-  keys_.clear();
-  payloads_.clear();
-  batch_.clear();
-  batch_pos_ = 0;
+  queue_.clear();
   // Disarm every pending closure (destroying captures) but keep the pooled
   // adapters; rebuild the free list from scratch so no slot appears twice.
   // Descending order makes a cleared engine hand out slots 0, 1, 2, ... again
@@ -247,10 +444,7 @@ void Engine::reset() {
 }
 
 void Engine::reserve(std::size_t events, std::size_t closures) {
-  if (keys_.capacity() < events) {
-    keys_.reserve(events);
-    payloads_.reserve(events);
-  }
+  queue_.reserve(events);
   const std::size_t old_size = closures_.size();
   while (closures_.size() < closures) closures_.push_back(std::make_unique<Closure>());
   // Append the new slots descending so they pop lowest-first — the same

@@ -1,6 +1,7 @@
 #include "sim/pdes.hpp"
 
 #include <cassert>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -194,11 +195,10 @@ void PdesRunner::plan_next() {
   SimTime next = 0;
   bool any = false;
   for (std::int32_t d = 0; d < cell_.num_domains(); ++d) {
-    Engine& e = cell_.engine(d);
-    if (e.keys_.empty()) continue;
-    const SimTime front = Engine::key_when(e.keys_.front());
-    if (!any || front < next) {
-      next = front;
+    const std::optional<SimTime> front = cell_.engine(d).next_event_time();
+    if (!front) continue;
+    if (!any || *front < next) {
+      next = *front;
       any = true;
     }
   }

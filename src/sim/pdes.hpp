@@ -43,7 +43,7 @@ struct PdesStats {
 /// creator order — which IS the order the sequential engine would have made
 /// those schedule_at calls — and each merged entry receives the next global
 /// sequence number. Same-domain events falling inside the current window
-/// also enter the creator's heap immediately under a provisional sequence
+/// also enter the creator's queue immediately under a provisional sequence
 /// number (kProvisionalBase + log index, above every true seq so same-time
 /// ties resolve exactly as sequentially), and are re-sequenced retroactively
 /// at the merge via the per-window `true_of` table. The result: identical
@@ -51,7 +51,7 @@ struct PdesStats {
 /// count, including 1 (CI byte-compares this).
 ///
 /// Setup (build + Job::start) stays single-threaded in kSetup mode, where
-/// schedule_at routes straight to the target's domain heap with true
+/// schedule_at routes straight to the target's domain queue with true
 /// sequence numbers — the same assignment order as sequential.
 class PdesCell {
  public:
@@ -87,7 +87,7 @@ class PdesCell {
   std::deque<PacketLog>& log_shards() { return shards_; }
 
   /// Route schedule_at traffic during single-threaded construction and
-  /// Job::start: events go straight to the target's domain heap with true
+  /// Job::start: events go straight to the target's domain queue with true
   /// sequence numbers. Engines stay attached until finish().
   void begin_setup();
   /// Switch to windowed-run mode (PdesRunner::run does this).
@@ -110,7 +110,7 @@ class PdesCell {
 
   /// One emission-log entry: the scheduled event plus the identity of the
   /// event that created it. `immediate` marks same-domain events that were
-  /// also pushed provisionally into the creator's heap (already executed by
+  /// also pushed provisionally into the creator's queue (already executed by
   /// merge time — the merge only assigns their true seq).
   struct LogEntry {
     SimTime creator_when;
@@ -139,7 +139,7 @@ class PdesCell {
   /// creator seqs through true_of, which is always populated before a child
   /// entry reaches the front because a creator precedes its children in the
   /// same log — assigning true seqs in sequential call order and delivering
-  /// non-immediate events to their target domain's heap.
+  /// non-immediate events to their target domain's queue.
   void merge_window();
 
   CellPartition partition_;
@@ -162,7 +162,7 @@ class PdesRunner {
  public:
   PdesRunner(PdesCell& cell, SimTime time_limit);
 
-  /// Run until every heap's front is past the time limit (or empty).
+  /// Run until every queue's front is past the time limit (or empty).
   /// Equivalent to cell.engine(0).run(time_limit) in the sequential engine,
   /// including events landing exactly at the limit.
   void run();

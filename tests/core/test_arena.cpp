@@ -97,7 +97,7 @@ class Churn final : public Component {
     }
     if (follow_ups > 0) {
       --follow_ups;
-      // Two events at the same timestamp exercise the batch scratch path.
+      // Two events at the same timestamp share one delay lane.
       engine.schedule_in(7, *this, 1, event.a + 1);
       engine.schedule_in(7, *this, 1, event.a + 2);
     }
@@ -541,6 +541,36 @@ TEST(EngineReserve, PreSizesEventAndClosureStorage) {
   EXPECT_EQ(allocation_count() - before, 0u)
       << "a reserved engine must not allocate within its reservation";
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EngineReserve, SameTimestampBurstStaysWithinReservation) {
+  // A same-timestamp burst (the shape of a synchronised collective) whose
+  // handlers schedule more same-time events and a spread of later ones: the
+  // reservation must cover the events, wherever in the queue they land.
+  Engine engine;
+  engine.reserve(4096, 64);
+  class Burst final : public Component {
+   public:
+    void handle(Engine& engine, const Event& event) override {
+      if (event.a == 0) return;
+      engine.schedule_in(0, *this, 0, event.a - 1);
+      // 97 distinct delays: more than there are lanes.
+      engine.schedule_in(static_cast<SimTime>(++spread_ % 97) * 1000, *this, 0, 0);
+    }
+
+   private:
+    std::uint64_t spread_{0};
+  };
+  Burst burst;
+  int fired = 0;
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 2000; ++i) engine.schedule_at(100, burst, 0, 1);
+  for (int i = 0; i < 40; ++i) engine.call_at(100, [&fired] { ++fired; });
+  engine.run();
+  EXPECT_EQ(allocation_count() - before, 0u)
+      << "a same-time burst must stay within the engine's reservation";
+  EXPECT_EQ(fired, 40);
+  EXPECT_EQ(engine.executed(), 2000u * 3 + 40);
 }
 
 }  // namespace

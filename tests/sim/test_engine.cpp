@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -201,7 +205,7 @@ TEST(Engine, SameTimeFloodWithInterleavedSchedulingKeepsFifo) {
 }
 
 TEST(Engine, RandomizedStressMatchesReferencePriorityQueue) {
-  // Cross-check the 4-ary heap against std::priority_queue on (when, seq)
+  // Cross-check the event queue against std::priority_queue on (when, seq)
   // under interleaved schedule bursts and partial drains.
   struct Ref {
     SimTime when;
@@ -329,6 +333,233 @@ TEST(Engine, ManyEventsStressOrdering) {
   ASSERT_EQ(recorder.log.size(), 10000u);
   for (std::size_t i = 1; i < recorder.log.size(); ++i) {
     EXPECT_LE(recorder.log[i - 1].when, recorder.log[i].when);
+  }
+}
+
+// --- Delay lanes vs. a std::priority_queue reference ----------------------
+//
+// A scheduling script runs twice: once on the Engine and once on a plain
+// std::priority_queue ordered by (when, seq). Every handled event consumes
+// the script's Rng in pop order, so the two runs draw the same children only
+// while their pop orders agree, and any ordering slip shows up as a diverging
+// log.
+
+/// The seven delays (ps) that carry ~97% of a paper cell's schedules.
+constexpr std::array<SimTime, 7> kNetworkDelays = {0,      20480,  30000, 50480,
+                                                   150480, 300000, 420480};
+
+struct Script {
+  std::uint64_t seed{1};
+  int initial{2000};  ///< events scheduled before the run, at t in [0, 1 us)
+  std::uint64_t budget{60000};  ///< total events, initial ones included
+  /// Delay of one child event.
+  std::function<SimTime(Rng&)> delay;
+  /// Event id whose handler calls clear() before spawning (none if unset).
+  std::optional<std::uint64_t> clear_at;
+};
+
+struct Popped {
+  SimTime when;
+  std::uint64_t id;
+  bool operator==(const Popped&) const = default;
+};
+
+/// One handled event's children: 0, 1 or 2, mean 1 while the budget lasts.
+int children(Rng& rng, std::uint64_t next_id, const Script& script) {
+  if (next_id >= script.budget) return 0;
+  return static_cast<int>(rng.next_below(3));
+}
+
+class ScriptRunner final : public Component {
+ public:
+  explicit ScriptRunner(const Script& script) : script_(script), rng_(script.seed) {}
+
+  void start(Engine& engine) {
+    for (int i = 0; i < script_.initial; ++i) {
+      engine.schedule_at(static_cast<SimTime>(rng_.next_below(static_cast<std::uint64_t>(kUs))),
+                         *this, 0, next_id_++);
+    }
+  }
+  void handle(Engine& engine, const Event& event) override {
+    log.push_back({engine.now(), event.a});
+    if (script_.clear_at == event.a) engine.clear();
+    for (int n = children(rng_, next_id_, script_); n > 0; --n) {
+      engine.schedule_in(script_.delay(rng_), *this, 0, next_id_++);
+    }
+  }
+  std::vector<Popped> log;
+
+ private:
+  const Script& script_;
+  Rng rng_;
+  std::uint64_t next_id_{0};
+};
+
+std::vector<Popped> run_on_engine(Engine& engine, const Script& script) {
+  ScriptRunner runner(script);
+  runner.start(engine);
+  engine.run();
+  EXPECT_TRUE(engine.empty());
+  return runner.log;
+}
+
+std::vector<Popped> run_on_reference(const Script& script) {
+  struct Ref {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  const auto after = [](const Ref& x, const Ref& y) {
+    return x.when > y.when || (x.when == y.when && x.seq > y.seq);
+  };
+  std::priority_queue<Ref, std::vector<Ref>, decltype(after)> queue(after);
+  Rng rng(script.seed);
+  std::uint64_t next_id = 0;
+  std::uint64_t next_seq = 0;
+  for (int i = 0; i < script.initial; ++i) {
+    queue.push(Ref{static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(kUs))),
+                   next_seq++, next_id++});
+  }
+  std::vector<Popped> log;
+  while (!queue.empty()) {
+    const Ref top = queue.top();
+    queue.pop();
+    log.push_back({top.when, top.id});
+    if (script.clear_at == top.id) {
+      while (!queue.empty()) queue.pop();
+    }
+    for (int n = children(rng, next_id, script); n > 0; --n) {
+      const SimTime delay = script.delay(rng);
+      queue.push(Ref{top.when + delay, next_seq++, next_id++});
+    }
+  }
+  return log;
+}
+
+void expect_same_order(const std::vector<Popped>& got, const std::vector<Popped>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "first divergence at pop " << i;
+  }
+}
+
+/// The measured mix: a network delay 97% of the time, else one of ~10^6
+/// distinct delays — far more than there are lanes, so the random tail both
+/// overflows into the heap and keeps stealing lanes that run empty.
+SimTime network_mix(Rng& rng) {
+  if (rng.next_below(100) < 97) return kNetworkDelays[rng.next_below(kNetworkDelays.size())];
+  return static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(kUs))) + 1;
+}
+
+TEST(EngineLanes, NetworkDelayMixMatchesReferencePriorityQueue) {
+  Script script;
+  script.delay = network_mix;
+  Engine engine;
+  const std::vector<Popped> got = run_on_engine(engine, script);
+  EXPECT_GT(got.size(), 50000u);
+  expect_same_order(got, run_on_reference(script));
+}
+
+TEST(EngineLanes, DelayPoolWiderThanLaneCountMatchesReference) {
+  // ~100 recurring delays: every lane stays bound while more delays than
+  // lanes are pending, exercising overflow, lane stealing and the delay
+  // table's deletion path on every few schedules.
+  Script script;
+  script.seed = 2;
+  script.delay = [](Rng& rng) { return static_cast<SimTime>(rng.next_below(100)) * 1777; };
+  Engine engine;
+  expect_same_order(run_on_engine(engine, script), run_on_reference(script));
+}
+
+TEST(EngineLanes, ZeroAndBeyondInt32DelaysMatchReference) {
+  constexpr SimTime kBig = static_cast<SimTime>(std::numeric_limits<std::int32_t>::max());
+  Script script;
+  script.seed = 3;
+  script.budget = 20000;
+  script.delay = [](Rng& rng) {
+    switch (rng.next_below(4)) {
+      case 0: return SimTime{0};
+      case 1: return kBig + 1;
+      case 2: return kBig * 4 + 3;
+      default: return static_cast<SimTime>(rng.next_below(3)) * (kBig + 1);
+    }
+  };
+  Engine engine;
+  const std::vector<Popped> got = run_on_engine(engine, script);
+  EXPECT_GT(got.back().when, kBig);
+  expect_same_order(got, run_on_reference(script));
+}
+
+TEST(EngineLanes, ClearInsideHandlerMatchesReference) {
+  // clear() mid-run drops events queued on lanes and on the overflow heap
+  // alike; the handler's own children, scheduled after the clear, must then
+  // start from fresh lanes without disturbing the order.
+  Script script;
+  script.seed = 4;
+  script.delay = network_mix;
+  script.clear_at = 30000;
+  Engine engine;
+  const std::vector<Popped> got = run_on_engine(engine, script);
+  const std::vector<Popped> want = run_on_reference(script);
+  EXPECT_LT(want.size(), 60000u);  // the clear really dropped events
+  expect_same_order(got, want);
+}
+
+TEST(EngineLanes, ResetBetweenRoundsWithDifferentDelaySets) {
+  // One engine, reset between rounds whose delay sets differ: lanes bound
+  // to the previous round's delays must not leak into the next one.
+  Script network;
+  network.delay = network_mix;
+  Script pool;
+  pool.seed = 5;
+  pool.delay = [](Rng& rng) { return static_cast<SimTime>(rng.next_below(40)) * 999 + 1; };
+  Script single;
+  single.seed = 6;
+  single.delay = [](Rng&) { return SimTime{7}; };
+  Engine engine;
+  for (const Script* script : {&network, &pool, &single, &network}) {
+    expect_same_order(run_on_engine(engine, *script), run_on_reference(*script));
+    engine.reset();
+    EXPECT_EQ(engine.queued(), 0u);
+  }
+}
+
+TEST(EngineLanes, NextEventTimeSeesLanesAndOverflowHeap) {
+  Engine engine;
+  Recorder recorder;
+  EXPECT_EQ(engine.next_event_time(), std::nullopt);
+  // 40 distinct delays: the first 32 take lanes, the rest overflow.
+  for (SimTime d = 40; d > 0; --d) engine.schedule_at(d * 10, recorder, 0);
+  EXPECT_EQ(engine.next_event_time(), std::optional<SimTime>(10));
+  engine.run(95);
+  EXPECT_EQ(engine.next_event_time(), std::optional<SimTime>(100));
+  engine.run();
+  EXPECT_EQ(engine.next_event_time(), std::nullopt);
+  EXPECT_EQ(recorder.log.size(), 40u);
+}
+
+TEST(EngineLanes, MovedFromEngineIsEmptyAndUsable) {
+  Engine engine;
+  Recorder recorder;
+  for (int i = 0; i < 500; ++i) {
+    engine.schedule_at(static_cast<SimTime>(i % kNetworkDelays.size()) * 100, recorder, 0,
+                       static_cast<std::uint64_t>(i));
+  }
+  Engine moved(std::move(engine));
+  EXPECT_EQ(moved.queued(), 500u);
+  EXPECT_EQ(engine.queued(), 0u);  // NOLINT(bugprone-use-after-move): documented state
+  // The moved-from engine shares no lane storage with `moved`.
+  engine.reset();
+  for (int i = 0; i < 100; ++i) engine.schedule_at(5, recorder, 1);
+  EXPECT_EQ(engine.run(), 100u);
+  recorder.log.clear();
+  EXPECT_EQ(moved.run(), 500u);
+  ASSERT_EQ(recorder.log.size(), 500u);
+  for (std::size_t i = 1; i < recorder.log.size(); ++i) {
+    ASSERT_LE(recorder.log[i - 1].when, recorder.log[i].when);
+    if (recorder.log[i - 1].when == recorder.log[i].when) {
+      ASSERT_LT(recorder.log[i - 1].a, recorder.log[i].a);
+    }
   }
 }
 
