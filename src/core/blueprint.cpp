@@ -129,6 +129,7 @@ SystemBlueprint::SystemBlueprint(BlueprintKey key)
     : key_(std::move(key)), topo_(key_.topo), links_(topo_), radix_(topo_.radix()) {}
 
 std::shared_ptr<const SystemBlueprint> SystemBlueprint::build(const StudyConfig& config) {
+  validate_net_config(config.net, config.topo.radix());
   // dfsim-lint: allow(det-clock) build_ms_ is cache diagnostics, not output
   const auto t0 = std::chrono::steady_clock::now();
   // make_shared needs a public ctor; the private-ctor new is fine here.

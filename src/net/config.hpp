@@ -37,4 +37,11 @@ struct NetConfig {
   bool operator==(const NetConfig&) const = default;
 };
 
+/// Reject a NetConfig the router cannot run on routers of `radix` ports:
+/// router events carry the port and VC in 8 bits each, and a router links
+/// its radix * num_vcs input queues through int16 indices. Throws
+/// std::invalid_argument naming the offending key. SystemBlueprint::build
+/// runs it, so every entry point (CLI, plan, daemon, Study) hits it.
+void validate_net_config(const NetConfig& cfg, int radix);
+
 }  // namespace dfly

@@ -86,9 +86,10 @@ Network::Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgori
     nics_[slot]->set_directory(this);
   }
 
-  // Wire router-to-router links (both the forward data path and the reverse
-  // credit path) and router-to-NIC terminal links, straight off the
-  // blueprint's precomputed wiring plan.
+  // Wire router-to-router and router-to-NIC terminal links straight off the
+  // blueprint's precomputed wiring plan. Each connect() covers both
+  // directions of the wire: packets out of the port, credits for the input
+  // port of the same index back over it.
   for (int r = 0; r < topo.num_routers(); ++r) {
     Router& router = *routers_[static_cast<std::size_t>(r)];
     for (int port = 0; port < topo.radix(); ++port) {
@@ -98,16 +99,12 @@ Network::Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgori
         const int node = topo.node_id(r, port);
         Nic& nic = *nics_[static_cast<std::size_t>(node)];
         router.connect(port, nic, 0, /*peer_is_router=*/false);
-        router.in_[static_cast<std::size_t>(port)] =
-            Router::InWire{&nic, 0, plan.latency, false};
         link_stats_.set_link_info(link, LinkClass::kTerminal, r, r);
         link_stats_.set_link_info(links_->nic_out(node), LinkClass::kTerminal, r, r);
         continue;
       }
       Router& peer = *routers_[static_cast<std::size_t>(plan.peer_router)];
       router.connect(port, peer, plan.peer_port, /*peer_is_router=*/true);
-      peer.in_[static_cast<std::size_t>(plan.peer_port)] =
-          Router::InWire{&router, static_cast<std::int16_t>(port), plan.latency, true};
       link_stats_.set_link_info(link, plan.cls, r, plan.peer_router);
     }
   }

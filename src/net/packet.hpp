@@ -28,6 +28,10 @@ struct Packet {
   SimTime wire_time{0};          ///< when the first flit left the source NIC
   std::uint64_t msg_id{0};
   std::uint32_t id{0};  ///< pool slot
+  /// Next packet in the router input FIFO holding this one (net/router.hpp).
+  /// A packet sits in at most one input FIFO at a time, and only the router
+  /// holding it writes this.
+  std::uint32_t queue_next{0};
   std::int32_t src_node{0};
   std::int32_t dst_node{0};
   std::int32_t bytes{0};  ///< payload carried by this packet

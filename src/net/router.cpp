@@ -10,9 +10,7 @@
 namespace dfly {
 
 Router::Router(Engine& engine, const SystemBlueprint& blueprint, int id,
-               PacketPool& pool, LinkStats& stats, std::uint64_t seed)
-    : buffers_(blueprint.topo().radix(), blueprint.net().num_vcs,
-               blueprint.net().buffer_packets) {
+               PacketPool& pool, LinkStats& stats, std::uint64_t seed) {
   reinit(engine, blueprint, id, pool, stats, seed);
 }
 
@@ -30,35 +28,27 @@ void Router::reinit(Engine& engine, const SystemBlueprint& blueprint, int id,
   routing_ = nullptr;
   rng_ = Rng(seed, static_cast<std::uint64_t>(id) + 0x10000);
   const auto radix = static_cast<std::size_t>(topo.radix());
-  buffers_.reset(topo.radix(), cfg.num_vcs, cfg.buffer_packets);
-  out_.resize(radix);
+  const std::size_t queues = radix * static_cast<std::size_t>(cfg.num_vcs);
+  ports_.assign(radix, Port{});
   for (int port = 0; port < topo.radix(); ++port) {
-    auto& o = out_[static_cast<std::size_t>(port)];
-    o.peer = nullptr;
-    o.peer_port = -1;
-    o.peer_is_router = false;
-    o.latency = blueprint.port(id, port).latency;
-    o.slowdown = 1;
-    o.extra_latency = 0;
-    o.busy_until = 0;
-    o.try_pending = false;
-    o.stall_start = -1;
-    o.requests.clear();
-    o.stalled.resize(static_cast<std::size_t>(cfg.num_vcs));
-    for (auto& parked : o.stalled) parked.clear();
-    if (cfg.qos.enabled()) {
-      o.class_requests.resize(static_cast<std::size_t>(cfg.qos.num_classes));
-      for (auto& queue : o.class_requests) queue.clear();
-      o.deficit.assign(static_cast<std::size_t>(cfg.qos.num_classes), 0);
-    } else {
-      o.class_requests.clear();
-      o.deficit.clear();
-    }
+    Port& o = ports_[static_cast<std::size_t>(port)];
+    o.wire = blueprint.port(id, port).latency;
+    o.fwd_latency = o.wire;
   }
-  credits_.assign(radix * static_cast<std::size_t>(cfg.num_vcs), cfg.buffer_packets);
-  credits_used_.assign(radix, 0);
-  pending_.assign(radix, 0);
-  in_.assign(radix, InWire{});
+  credits_.assign(queues, cfg.buffer_packets);
+  inputs_.assign(queues, InputFifo{});
+  next_.assign(queues, -1);
+  stalled_.assign(queues, StallList{});
+  if (cfg.qos.enabled()) {
+    const auto classes = static_cast<std::size_t>(cfg.qos.num_classes);
+    class_requests_.assign(radix * classes, RequestList{});
+    deficit_.assign(radix * classes, 0);
+    unparked_.assign(classes, RequestList{});
+  } else {
+    class_requests_.clear();
+    deficit_.clear();
+    unparked_.clear();
+  }
 }
 
 void Router::degrade_port(int port, int slowdown, SimTime extra_latency) {
@@ -68,19 +58,24 @@ void Router::degrade_port(int port, int slowdown, SimTime extra_latency) {
   if (slowdown < 1 || extra_latency < 0) {
     throw std::invalid_argument("degrade_port: slowdown must be >= 1 and latency >= 0");
   }
-  auto& o = out_[static_cast<std::size_t>(port)];
+  Port& o = ports_[static_cast<std::size_t>(port)];
   o.slowdown = slowdown;
-  o.extra_latency = extra_latency;
+  o.fwd_latency = o.wire + extra_latency + pipeline(o);
 }
 
 void Router::connect(int port, Component& peer, int peer_port, bool peer_is_router) {
-  auto& o = out_[static_cast<std::size_t>(port)];
+  const SimTime extra = port_extra_latency(port);
+  Port& o = ports_[static_cast<std::size_t>(port)];
   o.peer = &peer;
   o.peer_port = static_cast<std::int16_t>(peer_port);
   o.peer_is_router = peer_is_router;
-  // The reverse direction of the same wire carries our credit returns: the
-  // peer's input wiring is recorded when *they* connect to us, so here we
-  // record who feeds our input `port` (symmetric wiring done by Network).
+  o.fwd_latency = o.wire + extra + pipeline(o);
+}
+
+int Router::buffered_packets() const {
+  int total = 0;
+  for (const InputFifo& input : inputs_) total += input.size;
+  return total;
 }
 
 void Router::handle(Engine& engine, const Event& event) {
@@ -112,7 +107,9 @@ void Router::on_arrive(Engine& engine, std::uint32_t packet_id, int in_port, int
                    id_, packet_id, in_port, in_vc, topo_->radix(), cfg_->num_vcs);
     std::abort();
   }
-  assert(!buffers_.full(in_port, in_vc) && "arrival into a full buffer: credit protocol violated");
+  const int q = in_port * cfg_->num_vcs + in_vc;
+  InputFifo& input = inputs_[static_cast<std::size_t>(q)];
+  assert(input.size < cfg_->buffer_packets && "arrival into a full buffer: credit protocol violated");
 
   // on_arrival runs before enter_router_time is refreshed: learning policies
   // read it as "time the packet entered the previous router" to measure the
@@ -124,67 +121,81 @@ void Router::on_arrive(Engine& engine, std::uint32_t packet_id, int in_port, int
   pkt.out_port = decision.out_port;
   pkt.out_vc = decision.out_vc;
 
-  buffers_.push(in_port, in_vc, packet_id);
-  pending_[static_cast<std::size_t>(decision.out_port)]++;
-  if (buffers_.size(in_port, in_vc) == 1) {
-    post_request(engine, in_port, in_vc);
+  if (input.size == 0) {
+    input.head = packet_id;
+  } else {
+    pool_->get(input.tail).queue_next = packet_id;
   }
+  input.tail = packet_id;
+  ++input.size;
+  ports_[static_cast<std::size_t>(decision.out_port)].pending++;
+  if (input.size == 1) post_request(engine, q);
 }
 
-void Router::post_request(Engine& engine, int in_port, int in_vc) {
-  const Packet& pkt = pool_->get(buffers_.front(in_port, in_vc));
-  auto& o = out_[static_cast<std::size_t>(pkt.out_port)];
-  const Request request{static_cast<std::int16_t>(in_port), static_cast<std::int16_t>(in_vc)};
+void Router::post_request(Engine& engine, int q) {
+  const Packet& pkt = head_packet(q);
+  Port& o = ports_[static_cast<std::size_t>(pkt.out_port)];
   if (cfg_->qos.enabled()) {
-    int cls = pkt.traffic_class;
-    if (cls >= cfg_->qos.num_classes) cls = cfg_->qos.num_classes - 1;
-    o.class_requests[static_cast<std::size_t>(cls)].push_back(request);
+    push_back(class_requests(pkt.out_port, head_class(q)), q);
   } else {
-    o.requests.push_back(request);
+    push_back(o.requests, q);
   }
   schedule_try(engine, pkt.out_port, engine.now() >= o.busy_until ? engine.now() : o.busy_until);
 }
 
-int Router::head_class(const Request& request) const {
-  const Packet& pkt = pool_->get(buffers_.front(request.in_port, request.in_vc));
-  int cls = pkt.traffic_class;
-  if (cls >= cfg_->qos.num_classes) cls = cfg_->qos.num_classes - 1;
-  return cls;
+int Router::head_class(int q) const {
+  const int cls = head_packet(q).traffic_class;
+  return cls < cfg_->qos.num_classes ? cls : cfg_->qos.num_classes - 1;
 }
 
-bool Router::has_requests(const OutPort& o) const {
-  if (!cfg_->qos.enabled()) return !o.requests.empty();
-  for (const auto& queue : o.class_requests) {
-    if (!queue.empty()) return true;
+bool Router::has_requests(int port) const {
+  if (!cfg_->qos.enabled()) return ports_[static_cast<std::size_t>(port)].requests.head >= 0;
+  const auto classes = static_cast<std::size_t>(cfg_->qos.num_classes);
+  for (std::size_t cls = 0; cls < classes; ++cls) {
+    if (class_requests_[static_cast<std::size_t>(port) * classes + cls].head >= 0) return true;
   }
   return false;
 }
 
 void Router::schedule_try(Engine& engine, int port, SimTime when) {
-  auto& o = out_[static_cast<std::size_t>(port)];
+  Port& o = ports_[static_cast<std::size_t>(port)];
   if (o.try_pending) return;
   o.try_pending = true;
   engine.schedule_at(when, *this, router_ev::kTryPort, static_cast<std::uint64_t>(port));
 }
 
-bool Router::transmit(Engine& engine, int port, const Request& request) {
-  auto& o = out_[static_cast<std::size_t>(port)];
-  const std::uint32_t packet_id = buffers_.pop(request.in_port, request.in_vc);
+void Router::park(int port, int vc, int q) {
+  StallList& stall = stalled_[static_cast<std::size_t>(port) * cfg_->num_vcs +
+                              static_cast<std::size_t>(vc)];
+  push_back(stall.list, q);
+  ++stall.size;
+  ++ports_[static_cast<std::size_t>(port)].parked;
+}
+
+void Router::transmit(Engine& engine, int port, int q) {
+  Port& o = ports_[static_cast<std::size_t>(port)];
+  const int in_port = q / cfg_->num_vcs;
+  const int in_vc = q - in_port * cfg_->num_vcs;
+  InputFifo& input = inputs_[static_cast<std::size_t>(q)];
+  const std::uint32_t packet_id = input.head;
   Packet& pkt = pool_->get(packet_id);
   assert(pkt.out_port == port);
+  input.head = pkt.queue_next;
+  --input.size;
 
-  pending_[static_cast<std::size_t>(port)]--;
+  o.pending--;
   credits_ref(port, pkt.out_vc)--;
-  credits_used_[static_cast<std::size_t>(port)]++;
+  o.credits_used++;
 
+  const int link = links_->router_out(id_, port);
   if (o.stall_start >= 0) {
-    stats_->add_stall(links_->router_out(id_, port), engine.now() - o.stall_start);
+    stats_->add_stall(link, engine.now() - o.stall_start);
     o.stall_start = -1;
   }
 
   const SimTime ser = cfg_->serialization(pkt.bytes) * o.slowdown;
   o.busy_until = engine.now() + ser;
-  stats_->add_traffic(links_->router_out(id_, port), pkt.app_id, pkt.bytes);
+  stats_->add_traffic(link, pkt.app_id, pkt.bytes);
   routing_->on_forward(*this, pkt, port);
 
   // ECN: mark packets leaving through a congested output (occupancy counts
@@ -197,44 +208,29 @@ bool Router::transmit(Engine& engine, int port, const Request& request) {
   pkt.prev_port = static_cast<std::int16_t>(port);
 
   if (o.peer_is_router) {
-#ifdef DFLY_HOP_GUARD
-    if (pkt.hops >= 7) {
-      std::fprintf(stderr,
-                   "HOPGUARD pkt id=%u hops=%d router=%d grp=%d port=%d dst_node=%d dst_router=%d "
-                   "phase=%d nonmin=%d reached=%d intg=%d intr=%d\n",
-                   pkt.id, pkt.hops, id_, group(), port, pkt.dst_node,
-                   topo_->router_of_node(pkt.dst_node), static_cast<int>(pkt.phase),
-                   pkt.nonminimal, pkt.reached_int, pkt.int_group, pkt.int_router);
-    }
-#endif
     pkt.hops++;
-    engine.schedule_at(o.busy_until + o.latency + o.extra_latency + cfg_->router_latency,
-                       *o.peer, router_ev::kArrive, packet_id,
+    engine.schedule_at(o.busy_until + o.fwd_latency, *o.peer, router_ev::kArrive, packet_id,
                        static_cast<std::uint64_t>(o.peer_port) |
                            (static_cast<std::uint64_t>(pkt.out_vc) << 8));
   } else {
-    engine.schedule_at(o.busy_until + o.latency + o.extra_latency, *o.peer, /*nic kArrive*/ 1,
-                       packet_id, 0);
+    engine.schedule_at(o.busy_until + o.fwd_latency, *o.peer, /*nic kArrive*/ 1, packet_id, 0);
   }
 
-  // Return the freed buffer slot upstream (reverse wire of `in_port`).
-  const auto& up = in_[static_cast<std::size_t>(request.in_port)];
+  // Return the freed buffer slot upstream, over the wire of `in_port`.
+  const Port& up = ports_[static_cast<std::size_t>(in_port)];
   if (up.peer != nullptr) {
-    engine.schedule_at(engine.now() + up.latency, *up.peer,
+    engine.schedule_at(engine.now() + up.wire, *up.peer,
                        up.peer_is_router ? router_ev::kCredit : /*nic kCredit*/ 3u,
                        static_cast<std::uint64_t>(up.peer_port),
-                       static_cast<std::uint64_t>(request.in_vc));
+                       static_cast<std::uint64_t>(in_vc));
   }
 
   // The vacated queue head exposes the next packet: post its request.
-  if (!buffers_.empty(request.in_port, request.in_vc)) {
-    post_request(engine, request.in_port, request.in_vc);
-  }
-  return true;
+  if (input.size > 0) post_request(engine, q);
 }
 
 void Router::on_try_port(Engine& engine, int port) {
-  auto& o = out_[static_cast<std::size_t>(port)];
+  Port& o = ports_[static_cast<std::size_t>(port)];
   o.try_pending = false;
   if (engine.now() < o.busy_until) {
     schedule_try(engine, port, o.busy_until);
@@ -248,47 +244,37 @@ void Router::on_try_port(Engine& engine, int port) {
 }
 
 void Router::try_port_fifo(Engine& engine, int port) {
-  auto& o = out_[static_cast<std::size_t>(port)];
+  Port& o = ports_[static_cast<std::size_t>(port)];
   // FIFO arbitration with per-VC stall parking.
-  while (!o.requests.empty()) {
-    const Request request = o.requests.front();
-    o.requests.pop_front();
-    const Packet& pkt = pool_->get(buffers_.front(request.in_port, request.in_vc));
-    if (credits_ref(port, pkt.out_vc) > 0) {
-      transmit(engine, port, request);
-      if (!o.requests.empty()) schedule_try(engine, port, o.busy_until);
+  while (o.requests.head >= 0) {
+    const int q = pop_front(o.requests);
+    const int vc = head_packet(q).out_vc;
+    if (credits_ref(port, vc) > 0) {
+      transmit(engine, port, q);
+      if (o.requests.head >= 0) schedule_try(engine, port, o.busy_until);
       return;
     }
-    o.stalled[static_cast<std::size_t>(pkt.out_vc)].push_back(request);
+    park(port, vc, q);
   }
   // Demand exists but every requester is credit-blocked: the link stalls.
-  bool any_stalled = false;
-  for (const auto& queue : o.stalled) {
-    if (!queue.empty()) {
-      any_stalled = true;
-      break;
-    }
-  }
-  if (any_stalled && o.stall_start < 0) o.stall_start = engine.now();
+  if (o.parked > 0 && o.stall_start < 0) o.stall_start = engine.now();
 }
 
 void Router::try_port_dwrr(Engine& engine, int port) {
-  auto& o = out_[static_cast<std::size_t>(port)];
+  Port& o = ports_[static_cast<std::size_t>(port)];
   const int num_classes = cfg_->qos.num_classes;
 
   // Park credit-blocked heads so only transmittable requests arbitrate;
   // within a class, FIFO order is preserved.
   for (int cls = 0; cls < num_classes; ++cls) {
-    auto& queue = o.class_requests[static_cast<std::size_t>(cls)];
-    while (!queue.empty()) {
-      const Request request = queue.front();
-      const Packet& pkt = pool_->get(buffers_.front(request.in_port, request.in_vc));
-      if (credits_ref(port, pkt.out_vc) > 0) break;
-      queue.pop_front();
-      o.stalled[static_cast<std::size_t>(pkt.out_vc)].push_back(request);
+    RequestList& queue = class_requests(port, cls);
+    while (queue.head >= 0) {
+      const int vc = head_packet(queue.head).out_vc;
+      if (credits_ref(port, vc) > 0) break;
+      park(port, vc, pop_front(queue));
     }
     // Standard DWRR: an idle class may not bank deficit.
-    if (queue.empty()) o.deficit[static_cast<std::size_t>(cls)] = 0;
+    if (queue.head < 0) deficit(port, cls) = 0;
   }
 
   // Serve the eligible class with the largest deficit; replenish every
@@ -300,64 +286,64 @@ void Router::try_port_dwrr(Engine& engine, int port) {
     std::int32_t chosen_bytes = 0;
     bool any_eligible = false;
     for (int cls = 0; cls < num_classes; ++cls) {
-      const auto& queue = o.class_requests[static_cast<std::size_t>(cls)];
-      if (queue.empty()) continue;
+      const RequestList& queue = class_requests(port, cls);
+      if (queue.head < 0) continue;
       any_eligible = true;
-      const Packet& pkt = pool_->get(buffers_.front(queue.front().in_port, queue.front().in_vc));
-      if (o.deficit[static_cast<std::size_t>(cls)] < pkt.bytes) continue;
-      if (chosen < 0 || o.deficit[static_cast<std::size_t>(cls)] >
-                            o.deficit[static_cast<std::size_t>(chosen)]) {
+      const Packet& pkt = head_packet(queue.head);
+      if (deficit(port, cls) < pkt.bytes) continue;
+      if (chosen < 0 || deficit(port, cls) > deficit(port, chosen)) {
         chosen = cls;
         chosen_bytes = pkt.bytes;
       }
     }
     if (chosen >= 0) {
-      auto& queue = o.class_requests[static_cast<std::size_t>(chosen)];
-      const Request request = queue.front();
-      queue.pop_front();
-      o.deficit[static_cast<std::size_t>(chosen)] -= chosen_bytes;
-      transmit(engine, port, request);
-      if (has_requests(o)) schedule_try(engine, port, o.busy_until);
+      const int q = pop_front(class_requests(port, chosen));
+      deficit(port, chosen) -= chosen_bytes;
+      transmit(engine, port, q);
+      if (has_requests(port)) schedule_try(engine, port, o.busy_until);
       return;
     }
     if (!any_eligible) break;
     const std::int64_t quantum_bytes =
         static_cast<std::int64_t>(cfg_->qos.quantum_packets) * cfg_->packet_bytes;
     for (int cls = 0; cls < num_classes; ++cls) {
-      if (o.class_requests[static_cast<std::size_t>(cls)].empty()) continue;
-      o.deficit[static_cast<std::size_t>(cls)] +=
-          static_cast<std::int64_t>(cfg_->qos.weight_of(cls)) * quantum_bytes;
+      if (class_requests(port, cls).head < 0) continue;
+      deficit(port, cls) += static_cast<std::int64_t>(cfg_->qos.weight_of(cls)) * quantum_bytes;
     }
   }
 
-  bool any_stalled = false;
-  for (const auto& queue : o.stalled) {
-    if (!queue.empty()) {
-      any_stalled = true;
-      break;
-    }
-  }
-  if (any_stalled && o.stall_start < 0) o.stall_start = engine.now();
+  if (o.parked > 0 && o.stall_start < 0) o.stall_start = engine.now();
 }
 
 void Router::on_credit(Engine& engine, int port, int vc) {
   credits_ref(port, vc)++;
-  credits_used_[static_cast<std::size_t>(port)]--;
+  Port& o = ports_[static_cast<std::size_t>(port)];
+  o.credits_used--;
   assert(credits_ref(port, vc) <= cfg_->buffer_packets);
-  auto& o = out_[static_cast<std::size_t>(port)];
-  auto& parked = o.stalled[static_cast<std::size_t>(vc)];
-  // Re-activate parked requesters ahead of newer arrivals (FIFO fairness);
-  // under QoS each returns to the front of its own class queue.
-  while (!parked.empty()) {
+  StallList& stall = stalled_[static_cast<std::size_t>(port) * cfg_->num_vcs +
+                              static_cast<std::size_t>(vc)];
+  // Re-activate parked requesters ahead of newer arrivals, in parked order
+  // (FIFO fairness); under QoS each returns to the front of its own class.
+  if (stall.size > 0) {
     if (cfg_->qos.enabled()) {
-      const int cls = head_class(parked.back());
-      o.class_requests[static_cast<std::size_t>(cls)].push_front(parked.back());
+      for (int q = stall.list.head; q >= 0;) {
+        const int next = next_[static_cast<std::size_t>(q)];
+        push_back(unparked_[static_cast<std::size_t>(head_class(q))], q);
+        q = next;
+      }
+      for (int cls = 0; cls < cfg_->qos.num_classes; ++cls) {
+        RequestList& group = unparked_[static_cast<std::size_t>(cls)];
+        if (group.head < 0) continue;
+        splice_front(class_requests(port, cls), group);
+        group = RequestList{};
+      }
     } else {
-      o.requests.push_front(parked.back());
+      splice_front(o.requests, stall.list);
     }
-    parked.pop_back();
+    o.parked = static_cast<std::int16_t>(o.parked - stall.size);
+    stall = StallList{};
   }
-  if (has_requests(o)) {
+  if (has_requests(port)) {
     schedule_try(engine, port, engine.now() >= o.busy_until ? engine.now() : o.busy_until);
   }
 }

@@ -7,10 +7,8 @@ LinkStats::LinkStats(int num_links, int num_apps) { reset(num_links, num_apps); 
 void LinkStats::reset(int num_links, int num_apps) {
   const auto links = static_cast<std::size_t>(num_links);
   num_apps_ = static_cast<std::size_t>(num_apps);
-  bytes_.assign(links, 0);
+  counters_.assign(links, Counters{});
   by_app_.assign(links * num_apps_, 0);
-  packets_.assign(links, 0);
-  stall_.assign(links, 0);
   class_.assign(links, LinkClass::kTerminal);
   src_.assign(links, -1);
   dst_.assign(links, -1);
@@ -24,16 +22,16 @@ void LinkStats::set_link_info(int link, LinkClass cls, int src_router, int dst_r
 
 SimTime LinkStats::total_stall(LinkClass cls) const {
   SimTime acc = 0;
-  for (std::size_t i = 0; i < stall_.size(); ++i) {
-    if (class_[i] == cls) acc += stall_[i];
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    if (class_[i] == cls) acc += counters_[i].stall;
   }
   return acc;
 }
 
 std::int64_t LinkStats::total_bytes(LinkClass cls) const {
   std::int64_t acc = 0;
-  for (std::size_t i = 0; i < bytes_.size(); ++i) {
-    if (class_[i] == cls) acc += bytes_[i];
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    if (class_[i] == cls) acc += counters_[i].bytes;
   }
   return acc;
 }

@@ -33,27 +33,30 @@ class LinkStats {
   void set_link_info(int link, LinkClass cls, int src_router, int dst_router);
 
   void add_traffic(int link, int app_id, std::int64_t bytes) {
-    bytes_[static_cast<std::size_t>(link)] += bytes;
+    Counters& counters = counters_[static_cast<std::size_t>(link)];
+    counters.bytes += bytes;
     by_app_[static_cast<std::size_t>(link) * num_apps_ + static_cast<std::size_t>(app_id)] += bytes;
-    packets_[static_cast<std::size_t>(link)]++;
+    counters.packets++;
   }
 
   void add_stall(int link, SimTime duration) {
-    stall_[static_cast<std::size_t>(link)] += duration;
+    counters_[static_cast<std::size_t>(link)].stall += duration;
   }
 
-  std::int64_t bytes(int link) const { return bytes_[static_cast<std::size_t>(link)]; }
+  std::int64_t bytes(int link) const { return counters_[static_cast<std::size_t>(link)].bytes; }
   std::int64_t bytes_by_app(int link, int app_id) const {
     return by_app_[static_cast<std::size_t>(link) * num_apps_ + static_cast<std::size_t>(app_id)];
   }
-  std::uint64_t packets(int link) const { return packets_[static_cast<std::size_t>(link)]; }
-  SimTime stall(int link) const { return stall_[static_cast<std::size_t>(link)]; }
+  std::uint64_t packets(int link) const {
+    return counters_[static_cast<std::size_t>(link)].packets;
+  }
+  SimTime stall(int link) const { return counters_[static_cast<std::size_t>(link)].stall; }
 
   LinkClass link_class(int link) const { return class_[static_cast<std::size_t>(link)]; }
   int src_router(int link) const { return src_[static_cast<std::size_t>(link)]; }
   int dst_router(int link) const { return dst_[static_cast<std::size_t>(link)]; }
 
-  int num_links() const { return static_cast<int>(bytes_.size()); }
+  int num_links() const { return static_cast<int>(counters_.size()); }
   int num_apps() const { return static_cast<int>(num_apps_); }
 
   /// Aggregate stall over all links of one class (Fig 11 summary numbers).
@@ -62,11 +65,16 @@ class LinkStats {
   std::int64_t total_bytes(LinkClass cls) const;
 
  private:
+  /// A transmit updates bytes and packets, and often stall: one record.
+  struct Counters {
+    std::int64_t bytes{0};
+    std::uint64_t packets{0};
+    SimTime stall{0};
+  };
+
   std::size_t num_apps_{0};
-  std::vector<std::int64_t> bytes_;
+  std::vector<Counters> counters_;
   std::vector<std::int64_t> by_app_;
-  std::vector<std::uint64_t> packets_;
-  std::vector<SimTime> stall_;
   std::vector<LinkClass> class_;
   std::vector<int> src_, dst_;
 };

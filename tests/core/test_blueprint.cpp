@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -233,6 +235,141 @@ TEST(SystemBlueprint, PortPlanMatchesTopologyWiring) {
       EXPECT_EQ(plan.peer_port, wire.peer_port);
       EXPECT_EQ(plan.global, wire.global);
     }
+  }
+}
+
+TEST(SystemBlueprint, RouterPortPeersPointBackWithEqualLatency) {
+  // Routers return credits for input port p over output port p's own wire,
+  // so every router-router port must be one half of a symmetric pair: the
+  // peer's plan points back at this port with the same latency and class.
+  for (const GlobalArrangement arrangement :
+       {GlobalArrangement::kRelative, GlobalArrangement::kAbsolute}) {
+    for (DragonflyParams params : {DragonflyParams::tiny(), DragonflyParams::paper()}) {
+      params.arrangement = arrangement;
+      StudyConfig config = tiny_config();
+      config.topo = params;
+      const auto bp = SystemBlueprint::build(config);
+      const Dragonfly& topo = bp->topo();
+      int router_ports = 0;
+      for (int r = 0; r < topo.num_routers(); ++r) {
+        for (int p = 0; p < topo.radix(); ++p) {
+          const SystemBlueprint::PortPlan& plan = bp->port(r, p);
+          if (plan.peer_router < 0) continue;
+          ++router_ports;
+          const SystemBlueprint::PortPlan& back = bp->port(plan.peer_router, plan.peer_port);
+          ASSERT_EQ(back.peer_router, r) << "router " << r << " port " << p;
+          ASSERT_EQ(back.peer_port, p) << "router " << r << " port " << p;
+          ASSERT_EQ(back.latency, plan.latency) << "router " << r << " port " << p;
+          ASSERT_EQ(back.cls, plan.cls) << "router " << r << " port " << p;
+        }
+      }
+      EXPECT_EQ(router_ports, topo.num_routers() * (topo.radix() - params.p));
+    }
+  }
+}
+
+// --- NetConfig validation ----------------------------------------------------
+
+/// The message of the invalid_argument `net` raises, or "" if none.
+std::string net_config_error(const NetConfig& net, int radix = DragonflyParams::tiny().radix()) {
+  try {
+    validate_net_config(net, radix);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(NetConfigValidation, AcceptsDefaultsAndTheEdgesOfEachRange) {
+  EXPECT_EQ(net_config_error(NetConfig{}), "");
+  NetConfig edges;
+  edges.num_vcs = 255;
+  edges.buffer_packets = 1;
+  edges.packet_bytes = 1;
+  edges.flit_bytes = 1;
+  edges.link_gbps = 0.001;
+  edges.local_latency = 0;
+  edges.global_latency = 0;
+  edges.terminal_latency = 0;
+  edges.router_latency = 0;
+  EXPECT_EQ(net_config_error(edges, 128), "");  // 128 * 255 = 32640 queues
+  NetConfig one_vc;
+  one_vc.num_vcs = 1;
+  EXPECT_EQ(net_config_error(one_vc, 255), "");
+}
+
+TEST(NetConfigValidation, RejectsVcCountsOutsideOneTo255) {
+  for (const int vcs : {0, -1, 256}) {
+    NetConfig net;
+    net.num_vcs = vcs;
+    EXPECT_NE(net_config_error(net).find("net.num_vcs"), std::string::npos) << vcs;
+  }
+}
+
+TEST(NetConfigValidation, RejectsRadixAbove255) {
+  NetConfig net;
+  net.num_vcs = 1;
+  EXPECT_NE(net_config_error(net, 256).find("radix"), std::string::npos);
+}
+
+TEST(NetConfigValidation, RejectsMoreInputQueuesThanAnInt16Index) {
+  NetConfig net;
+  net.num_vcs = 255;
+  EXPECT_NE(net_config_error(net, 129).find("net.num_vcs"), std::string::npos);  // 32895
+}
+
+TEST(NetConfigValidation, RejectsBufferPacketsBelowOne) {
+  for (const int packets : {0, -3}) {
+    NetConfig net;
+    net.buffer_packets = packets;
+    EXPECT_NE(net_config_error(net).find("net.buffer_packets"), std::string::npos) << packets;
+  }
+}
+
+TEST(NetConfigValidation, RejectsPacketBytesBelowOne) {
+  NetConfig net;
+  net.packet_bytes = 0;
+  EXPECT_NE(net_config_error(net).find("net.packet_bytes"), std::string::npos);
+}
+
+TEST(NetConfigValidation, RejectsFlitBytesBelowOne) {
+  NetConfig net;
+  net.flit_bytes = -128;
+  EXPECT_NE(net_config_error(net).find("net.flit_bytes"), std::string::npos);
+}
+
+TEST(NetConfigValidation, RejectsLinkRatesThatAreNotPositive) {
+  for (const double gbps : {0.0, -200.0, std::numeric_limits<double>::quiet_NaN()}) {
+    NetConfig net;
+    net.link_gbps = gbps;
+    EXPECT_NE(net_config_error(net).find("net.link_gbps"), std::string::npos) << gbps;
+  }
+}
+
+TEST(NetConfigValidation, RejectsNegativeLatencies) {
+  NetConfig local;
+  local.local_latency = -kNs;
+  EXPECT_NE(net_config_error(local).find("net.local_latency_ns"), std::string::npos);
+  NetConfig global;
+  global.global_latency = -kNs;
+  EXPECT_NE(net_config_error(global).find("net.global_latency_ns"), std::string::npos);
+  NetConfig terminal;
+  terminal.terminal_latency = -1;
+  EXPECT_NE(net_config_error(terminal).find("net.terminal_latency"), std::string::npos);
+  NetConfig router;
+  router.router_latency = -kNs;
+  EXPECT_NE(net_config_error(router).find("net.router_latency_ns"), std::string::npos);
+}
+
+TEST(NetConfigValidation, BlueprintBuildAndStudyRunTheCheck) {
+  StudyConfig config = tiny_config();
+  config.net.num_vcs = 0;
+  EXPECT_THROW(SystemBlueprint::build(config), std::invalid_argument);
+  try {
+    Study study(config);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("net.num_vcs"), std::string::npos) << error.what();
   }
 }
 

@@ -736,6 +736,28 @@ TEST(PlanFromConfig, ErrorsNameTheOffendingLine) {
                std::invalid_argument);
 }
 
+TEST(PlanFromConfig, InvalidNetConfigFailsItsCellNotTheProcess) {
+  // net.num_vcs = 0 used to abort the whole process from inside the router;
+  // NetConfig validation turns it into an ordinary, non-retried cell failure
+  // that names the key, while the valid variant's cells still complete.
+  const ExperimentPlan plan = plan_from_config(ConfigFile::parse(
+      "topo.p = 2\ntopo.a = 4\ntopo.h = 2\ntopo.g = 9\nscale = 64\n"
+      "plan.mode = single\nplan.jobs = UR:32\nplan.routings = MIN\n"
+      "plan.variant.bad = net.num_vcs=0\nplan.variant.good =\n"));
+  CollectSink sink;
+  const PlanOutcome outcome = run_plan(plan, sink, 2);
+  EXPECT_EQ(outcome.cells, 2u);
+  EXPECT_EQ(outcome.completed, 1u);
+  ASSERT_EQ(outcome.failures.size(), 1u);
+  EXPECT_EQ(outcome.failures[0].index, 0u);  // variants run in label order
+  EXPECT_EQ(outcome.failures[0].attempts, 1);
+  EXPECT_NE(outcome.failures[0].message.find("net.num_vcs"), std::string::npos)
+      << outcome.failures[0].message;
+  EXPECT_FALSE(outcome.worker_errors.any());
+  ASSERT_EQ(sink.reports().size(), 2u);
+  EXPECT_TRUE(sink.reports()[1].completed);
+}
+
 TEST(PlanFromConfig, FileRunMatchesProgrammaticPlan) {
   const std::string path = std::string(::testing::TempDir()) + "/dfly_plan.cfg";
   {

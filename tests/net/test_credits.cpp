@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "core/study.hpp"
 #include "net/network.hpp"
 #include "routing/factory.hpp"
+#include "workloads/motifs.hpp"
 #include "../support/make_blueprint.hpp"
 
 namespace dfly {
@@ -173,6 +175,71 @@ TEST(Credits, CreditLoopCapsSingleFlowAtExtremeBandwidth) {
   }
   EXPECT_LT(static_cast<double>(t1) / static_cast<double>(t2), 1.5);
 }
+
+struct QuiescenceCase {
+  const char* name;
+  const char* routing;
+  int buffer_packets;
+  int qos_classes;
+};
+
+class CreditQuiescence : public ::testing::TestWithParam<QuiescenceCase> {};
+
+TEST_P(CreditQuiescence, EveryRouterIsBackToItsInitialState) {
+  // A congested cell run to quiescence must leave every router as it found
+  // it: each (port, VC) credit returned, no packet queued or claimed, no
+  // packet buffered and no request parked on a stall list.
+  const QuiescenceCase& c = GetParam();
+  StudyConfig config;
+  config.topo = DragonflyParams::tiny();
+  config.routing = c.routing;
+  config.seed = 11;
+  config.net.buffer_packets = c.buffer_packets;
+  config.net.qos.num_classes = c.qos_classes;
+  config.net.qos.weights = {3, 1, 1};
+  Study study(std::move(config));
+  workloads::UniformRandomParams p;
+  p.msg_bytes = 4096;
+  p.iterations = 60;
+  p.interval = 0;
+  p.window = 8;
+  for (int app = 0; app < 3; ++app) {
+    const int id = study.add_motif(std::make_unique<workloads::UniformRandomMotif>(p), 24,
+                                   "UR" + std::to_string(app));
+    study.set_traffic_class(id, app % c.qos_classes);
+  }
+  const Report report = study.run();
+  ASSERT_TRUE(report.completed);
+  ASSERT_TRUE(study.engine().empty());
+
+  Network& net = study.network();
+  const LinkStats& stats = net.link_stats();
+  SimTime stall = 0;
+  for (int link = 0; link < stats.num_links(); ++link) stall += stats.stall(link);
+  EXPECT_GT(stall, 0) << "the cell must congest to test anything";
+  EXPECT_EQ(net.pool().in_use(), 0u);
+  for (int r = 0; r < study.topo().num_routers(); ++r) {
+    const Router& router = net.router(r);
+    EXPECT_EQ(router.buffered_packets(), 0) << "router " << r;
+    for (int port = 0; port < study.topo().radix(); ++port) {
+      EXPECT_EQ(router.occupancy(port), 0) << "router " << r << " port " << port;
+      EXPECT_EQ(router.parked_requests(port), 0) << "router " << r << " port " << port;
+      for (int vc = 0; vc < router.cfg().num_vcs; ++vc) {
+        EXPECT_EQ(router.credits(port, vc), c.buffer_packets)
+            << "router " << r << " port " << port << " vc " << vc;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Congested, CreditQuiescence,
+                         ::testing::Values(QuiescenceCase{"PAR", "PAR", 2, 1},
+                                           QuiescenceCase{"Qadp", "Q-adp", 2, 1},
+                                           QuiescenceCase{"QosDwrrPar", "PAR", 3, 3},
+                                           QuiescenceCase{"QosDwrrQadp", "Q-adp", 3, 3}),
+                         [](const ::testing::TestParamInfo<QuiescenceCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace dfly
