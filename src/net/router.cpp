@@ -39,16 +39,11 @@ void Router::reinit(Engine& engine, const SystemBlueprint& blueprint, int id,
   inputs_.assign(queues, InputFifo{});
   next_.assign(queues, -1);
   stalled_.assign(queues, StallList{});
-  if (cfg.qos.enabled()) {
-    const auto classes = static_cast<std::size_t>(cfg.qos.num_classes);
-    class_requests_.assign(radix * classes, RequestList{});
-    deficit_.assign(radix * classes, 0);
-    unparked_.assign(classes, RequestList{});
-  } else {
-    class_requests_.clear();
-    deficit_.clear();
-    unparked_.clear();
-  }
+  const std::size_t classes =
+      cfg.qos.enabled() ? static_cast<std::size_t>(cfg.qos.num_classes) : 0;
+  class_requests_.assign(radix * classes, RequestList{});
+  deficit_.assign(radix * classes, 0);
+  unparked_.assign(classes, RequestList{});
 }
 
 void Router::degrade_port(int port, int slowdown, SimTime extra_latency) {
@@ -109,7 +104,8 @@ void Router::on_arrive(Engine& engine, std::uint32_t packet_id, int in_port, int
   }
   const int q = in_port * cfg_->num_vcs + in_vc;
   InputFifo& input = inputs_[static_cast<std::size_t>(q)];
-  assert(input.size < cfg_->buffer_packets && "arrival into a full buffer: credit protocol violated");
+  assert(input.size < cfg_->buffer_packets &&
+         "arrival into a full buffer: credit protocol violated");
 
   // on_arrival runs before enter_router_time is refreshed: learning policies
   // read it as "time the packet entered the previous router" to measure the
@@ -207,20 +203,18 @@ void Router::transmit(Engine& engine, int port, int q) {
   pkt.prev_router = static_cast<std::int16_t>(id_);
   pkt.prev_port = static_cast<std::int16_t>(port);
 
-  if (o.peer_is_router) {
-    pkt.hops++;
-    engine.schedule_at(o.busy_until + o.fwd_latency, *o.peer, router_ev::kArrive, packet_id,
-                       static_cast<std::uint64_t>(o.peer_port) |
-                           (static_cast<std::uint64_t>(pkt.out_vc) << 8));
-  } else {
-    engine.schedule_at(o.busy_until + o.fwd_latency, *o.peer, /*nic kArrive*/ 1, packet_id, 0);
-  }
+  // A NIC reads only the packet id of an arrival.
+  if (o.peer_is_router) pkt.hops++;
+  engine.schedule_at(o.busy_until + o.fwd_latency, *o.peer,
+                     o.peer_is_router ? router_ev::kArrive : nic_ev::kArrive, packet_id,
+                     static_cast<std::uint64_t>(o.peer_port) |
+                         (static_cast<std::uint64_t>(pkt.out_vc) << 8));
 
   // Return the freed buffer slot upstream, over the wire of `in_port`.
   const Port& up = ports_[static_cast<std::size_t>(in_port)];
   if (up.peer != nullptr) {
     engine.schedule_at(engine.now() + up.wire, *up.peer,
-                       up.peer_is_router ? router_ev::kCredit : /*nic kCredit*/ 3u,
+                       up.peer_is_router ? router_ev::kCredit : nic_ev::kCredit,
                        static_cast<std::uint64_t>(up.peer_port),
                        static_cast<std::uint64_t>(in_vc));
   }
