@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       add_mixed_workload(study);
       Result out;
       out.report = study.run();
-      const TimeSeries& series = study.network().packet_log().system_delivered();
+      const TimeSeries series = study.network().packet_log().system_delivered();
       out.bucket_ms = to_ms(series.bucket_width());
       for (std::size_t b = 0; b < series.num_buckets(); ++b) {
         out.series_gb_per_ms.push_back(series.bucket(b) / 1e9 / out.bucket_ms);

@@ -59,11 +59,12 @@ Report Study::report() const {
     out.apps.push_back(app);
   }
 
-  const Histogram& sys = log.system_latency();
-  out.sys_lat_mean_us = sys.mean() / static_cast<double>(kUs);
-  out.sys_lat_p50_us = static_cast<double>(sys.median()) / static_cast<double>(kUs);
-  out.sys_lat_p95_us = static_cast<double>(sys.p95()) / static_cast<double>(kUs);
-  out.sys_lat_p99_us = static_cast<double>(sys.p99()) / static_cast<double>(kUs);
+  static constexpr double kSysQuantiles[] = {0.50, 0.95, 0.99};
+  const std::vector<std::int64_t> sys_q = log.system_latency_percentiles(kSysQuantiles);
+  out.sys_lat_mean_us = log.system_latency_mean() / static_cast<double>(kUs);
+  out.sys_lat_p50_us = static_cast<double>(sys_q[0]) / static_cast<double>(kUs);
+  out.sys_lat_p95_us = static_cast<double>(sys_q[1]) / static_cast<double>(kUs);
+  out.sys_lat_p99_us = static_cast<double>(sys_q[2]) / static_cast<double>(kUs);
   if (makespan > 0) {
     out.agg_throughput_gb_per_ms =
         log.system_delivered().total() / 1.0e9 / to_ms(makespan);

@@ -24,16 +24,19 @@ std::int64_t Histogram::max() const {
   return samples_.back();
 }
 
+std::size_t Histogram::nearest_rank(double q, std::size_t n) {
+  if (q <= 0.0) return 0;
+  if (q >= 1.0) return n - 1;
+  // Nearest-rank: the smallest value with at least q of the mass at or
+  // below it (index = ceil(q*N) - 1).
+  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))) - 1;
+  return std::min(rank, n - 1);
+}
+
 std::int64_t Histogram::percentile(double q) const {
   if (samples_.empty()) return 0;
   ensure_sorted();
-  if (q <= 0.0) return samples_.front();
-  if (q >= 1.0) return samples_.back();
-  // Nearest-rank: the smallest value with at least q of the mass at or
-  // below it (index = ceil(q*N) - 1).
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples_.size()))) - 1;
-  return samples_[std::min(rank, samples_.size() - 1)];
+  return samples_[nearest_rank(q, samples_.size())];
 }
 
 double Histogram::stddev() const {

@@ -23,12 +23,16 @@ class Histogram {
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
+  std::int64_t sum() const { return sum_; }
   double mean() const { return samples_.empty() ? 0.0 : static_cast<double>(sum_) / static_cast<double>(samples_.size()); }
   std::int64_t min() const;
   std::int64_t max() const;
 
   /// Exact q-quantile (q in [0,1]) by the nearest-rank method.
   std::int64_t percentile(double q) const;
+  /// The sorted index percentile(q) reads among n > 0 samples: 0 for q <= 0,
+  /// n - 1 for q >= 1, ceil(q*n) - 1 otherwise.
+  static std::size_t nearest_rank(double q, std::size_t n);
   std::int64_t median() const { return percentile(0.50); }
   std::int64_t p95() const { return percentile(0.95); }
   std::int64_t p99() const { return percentile(0.99); }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -24,9 +25,11 @@ struct PacketRecord {
   std::int32_t bytes{0};
 };
 
-/// Collects packet lifecycle samples per application and system-wide.
-/// Recording full records is optional (benches that only need distributions
-/// keep it off to save memory); latency histograms are always maintained.
+/// Collects packet lifecycle samples per application. System-wide statistics
+/// are derived from the per-app stores on demand, so each delivered packet is
+/// stored once. Recording full records is optional (benches that only need
+/// distributions keep it off to save memory); latency histograms are always
+/// maintained.
 class PacketLog {
  public:
   /// An empty log; give it a shape with reset() before use.
@@ -50,11 +53,19 @@ class PacketLog {
 
   /// Latency = eject - wire (network time: source-router queueing onward).
   const Histogram& latency(int app_id) const { return per_app_lat_[static_cast<std::size_t>(app_id)]; }
-  const Histogram& system_latency() const { return system_lat_; }
+
+  /// Mean latency over all apps' packets, from the per-app sums.
+  double system_latency_mean() const;
+  /// For each q of the ascending `qs`, the value Histogram::percentile(q)
+  /// would give on the union of every app's latency samples, found by one
+  /// merge walk over the per-app sorted samples (0 when nothing was delivered).
+  std::vector<std::int64_t> system_latency_percentiles(std::span<const double> qs) const;
 
   /// Delivered payload bytes per time bucket (throughput series).
   const TimeSeries& delivered(int app_id) const { return per_app_bytes_[static_cast<std::size_t>(app_id)]; }
-  const TimeSeries& system_delivered() const { return system_bytes_; }
+  /// The per-bucket sum of the app series. Buckets hold integer byte counts
+  /// below 2^53, so the sum is exact in any order.
+  TimeSeries system_delivered() const;
 
   /// Per-app latency histogram restricted to eject times inside [t0,t1).
   Histogram latency_between(int app_id, SimTime t0, SimTime t1) const;
@@ -70,10 +81,9 @@ class PacketLog {
 
  private:
   bool keep_records_{false};
+  SimTime bucket_width_{kMs / 10};
   std::vector<Histogram> per_app_lat_;
-  Histogram system_lat_;
   std::vector<TimeSeries> per_app_bytes_;
-  TimeSeries system_bytes_;
   std::vector<std::uint64_t> per_app_count_;
   std::vector<std::uint64_t> per_app_nonmin_;
   std::vector<std::uint64_t> per_app_hops_;

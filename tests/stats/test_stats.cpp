@@ -114,9 +114,98 @@ TEST(PacketLog, RecordsPerAppAndSystem) {
   EXPECT_EQ(log.delivered_packets(1), 1u);
   EXPECT_EQ(log.latency(0).median(), 100);
   EXPECT_EQ(log.latency(1).median(), 300);
-  EXPECT_EQ(log.system_latency().count(), 2u);
+  EXPECT_DOUBLE_EQ(log.system_latency_mean(), 200.0);
   EXPECT_EQ(log.records().size(), 2u);
   EXPECT_DOUBLE_EQ(log.system_delivered().total(), 1024.0);
+}
+
+// The system-wide statistics are derived from the per-app stores. The oracle
+// is one Histogram and one TimeSeries fed every sample: the derived values
+// must equal it exactly, also after a shard merge and a reset to fewer apps.
+class SystemStats {
+ public:
+  explicit SystemStats(int num_apps, SimTime bucket_width)
+      : log_(num_apps, false, bucket_width), series_(bucket_width) {}
+
+  void record(int app, SimTime wire, SimTime eject, std::int32_t bytes) {
+    PacketRecord r;
+    r.app_id = static_cast<std::int16_t>(app);
+    r.wire_time = wire;
+    r.eject_time = eject;
+    r.bytes = bytes;
+    log_.record(r);
+    latency_.add(eject - wire);
+    series_.add(eject, static_cast<double>(bytes));
+  }
+
+  void merge_from(const SystemStats& other) {
+    log_.merge_from(other.log_);
+    latency_.merge(other.latency_);
+    series_.merge_from(other.series_);
+  }
+
+  void reset(int num_apps, SimTime bucket_width) {
+    log_.reset(num_apps, false, bucket_width);
+    latency_.clear();
+    series_.reset(bucket_width);
+  }
+
+  void expect_matches_oracle() const {
+    static constexpr double kQs[] = {0.0, 1e-9, 0.5, 0.95, 0.99, 1.0};
+    std::size_t count = 0;  // each packet is stored once, in its app's histogram
+    for (int app = 0; app < log_.num_apps(); ++app) count += log_.latency(app).count();
+    EXPECT_EQ(count, latency_.count());
+    EXPECT_EQ(log_.system_latency_mean(), latency_.mean());
+    const std::vector<std::int64_t> got = log_.system_latency_percentiles(kQs);
+    ASSERT_EQ(got.size(), std::size(kQs));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], latency_.percentile(kQs[i])) << "q=" << kQs[i];
+    }
+    const TimeSeries sys = log_.system_delivered();
+    EXPECT_EQ(sys.bucket_width(), series_.bucket_width());
+    ASSERT_EQ(sys.num_buckets(), series_.num_buckets());
+    for (std::size_t b = 0; b < sys.num_buckets(); ++b) {
+      EXPECT_EQ(sys.bucket(b), series_.bucket(b)) << "bucket " << b;
+    }
+    EXPECT_EQ(sys.total(), series_.total());
+  }
+
+  const PacketLog& log() const { return log_; }
+
+ private:
+  PacketLog log_;
+  Histogram latency_;
+  TimeSeries series_;
+};
+
+TEST(PacketLog, SystemStatsDeriveFromPerAppStores) {
+  // Three apps; app 2 receives nothing. Latencies repeat within and across
+  // apps, and the apps' ranges interleave.
+  SystemStats stats(3, 10);
+  stats.expect_matches_oracle();  // empty: zeros, no buckets
+  for (int i = 0; i < 40; ++i) {
+    const SimTime eject = 5 + 7 * i;
+    stats.record(0, eject - (100 + (i % 5) * 10), eject, 64 + i);
+    stats.record(1, eject - (120 + (i % 3) * 10), eject + 3, 512);
+  }
+  stats.record(1, 0, 100, 1);  // ties app 0's smallest latency
+  EXPECT_EQ(stats.log().delivered_packets(2), 0u);
+  stats.expect_matches_oracle();
+
+  // Two shards of the same shape fold into one log.
+  SystemStats shard(3, 10);
+  for (int i = 0; i < 25; ++i) {
+    shard.record(2, 0, 90 + (i % 4) * 30, 128);
+    shard.record(0, 400, 400 + 110 + i, 32);
+  }
+  stats.merge_from(shard);
+  stats.expect_matches_oracle();
+
+  // A reset to fewer apps and a new bucket width forgets every sample.
+  stats.reset(2, 25);
+  stats.expect_matches_oracle();
+  for (int i = 0; i < 30; ++i) stats.record(i % 2, 0, 50 + (i * 37) % 200, 1000 + i);
+  stats.expect_matches_oracle();
 }
 
 TEST(PacketLog, LatencyBetweenFiltersWindow) {
