@@ -15,7 +15,7 @@ namespace dfly::bench {
 
 /// Worker count every bench uses when a call site does not pass one:
 /// --jobs=N (recorded by Options::parse), else DFSIM_JOBS, else
-/// min(hardware_concurrency, 12).
+/// hardware_jobs() (every core, capped by memory).
 int default_jobs();
 /// Record the harness-wide --jobs value (0 = unset). Options::parse calls
 /// this; exposed for drivers with their own flag parsing.

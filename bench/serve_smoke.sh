@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Campaign-daemon smoke: start `dflysim --serve` on a unix socket, submit the
 # trimmed Fig-4 campaign over the socket, and require the streamed JSONL to be
-# byte-identical to the same plan run directly via `--plan=FILE --jsonl=-`.
+# byte-identical to the same plan run directly via `--plan=FILE --jsonl=-`,
+# and a submission that sets the removed cell_threads key to be rejected.
 # Then the crash half: submit again, SIGKILL the daemon mid-campaign, restart
 # it on the same spool, and require the resumed spool output to be
 # byte-identical too (docs/DAEMON.md). Invoked by the serve_smoke CTest as
@@ -23,8 +24,8 @@ SOCK=$WORK/serve_smoke.sock
 SPOOL=$WORK/serve_smoke.spool
 REF=$WORK/serve_smoke_ref.jsonl
 OUT=$WORK/serve_smoke.jsonl
-CT=$WORK/serve_smoke_ct.jsonl
-rm -rf "$SOCK" "$SPOOL" "$REF" "$OUT" "$CT"
+REJECT=$WORK/serve_smoke_reject.err
+rm -rf "$SOCK" "$SPOOL" "$REF" "$OUT" "$REJECT"
 
 cleanup() {
   [ -n "${SRV:-}" ] && kill "$SRV" 2>/dev/null
@@ -62,23 +63,24 @@ else
   exit 1
 fi
 
-echo "== submit with cell_threads=2; the streamed JSONL must not change =="
-"$DFLYSIM" --submit="$SOCK" --plan="$CAMPAIGN" "${SETS[@]}" --set=cell_threads=2 \
-    2>/dev/null > "$CT" || {
-  echo "FAIL: cell_threads submit exited $?"
+echo "== submit with the removed cell_threads key; the daemon must reject it =="
+if "$DFLYSIM" --submit="$SOCK" --plan="$CAMPAIGN" "${SETS[@]}" --set=cell_threads=2 \
+    >/dev/null 2>"$REJECT"; then
+  echo "FAIL: a submission setting cell_threads was accepted"
   exit 1
-}
-if cmp "$REF" "$CT"; then
-  echo "PASS: cell_threads=2 socket JSONL is byte-identical to the sequential reference"
+fi
+if grep -q "unknown key 'cell_threads'" "$REJECT"; then
+  echo "PASS: a submission setting cell_threads is rejected with the key named"
 else
-  echo "FAIL: cell_threads=2 socket JSONL differs from the sequential reference"
+  echo "FAIL: the cell_threads rejection does not name the key:"
+  cat "$REJECT"
   exit 1
 fi
 
 echo "== submit again, SIGKILL the daemon mid-campaign =="
 "$DFLYSIM" --submit="$SOCK" --plan="$CAMPAIGN" "${SETS[@]}" >/dev/null 2>&1 &
 CLIENT=$!
-JOURNAL=$SPOOL/c000003.journal
+JOURNAL=$SPOOL/c000002.journal
 for _ in $(seq 1 3000); do
   [ -s "$JOURNAL" ] && break
   kill -0 "$SRV" 2>/dev/null || break
@@ -98,18 +100,18 @@ echo "== restart the daemon; it must resume the spooled campaign unprompted =="
 SRV=$!
 wait_for_socket
 for _ in $(seq 1 3000); do
-  [ -f "$SPOOL/c000003.done" ] && break
+  [ -f "$SPOOL/c000002.done" ] && break
   sleep 0.1
 done
 "$DFLYSIM" --shutdown="$SOCK" >/dev/null 2>&1
 wait "$SRV" 2>/dev/null
 SRV=
 
-if [ ! -f "$SPOOL/c000003.done" ]; then
+if [ ! -f "$SPOOL/c000002.done" ]; then
   echo "FAIL: restarted daemon never finished the spooled campaign"
   exit 1
 fi
-if cmp "$SPOOL/c000003.jsonl" "$REF"; then
+if cmp "$SPOOL/c000002.jsonl" "$REF"; then
   echo "PASS: resumed spool JSONL is byte-identical to the uninterrupted reference"
 else
   echo "FAIL: resumed spool JSONL differs from the reference"

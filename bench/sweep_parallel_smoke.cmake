@@ -1,8 +1,7 @@
 # CTest script: run the same multi-seed sweep with --jobs=1, --jobs=4,
-# --jobs=4 --no-arena, --jobs={1,4} --no-blueprint, and
-# --jobs=2 --cell-threads=2 and require byte-identical JSON reports — worker
-# count, per-worker arena storage reuse, cross-cell SystemBlueprint sharing
-# AND the intra-cell parallel engine must all be invisible in the output.
+# --jobs=4 --no-arena and --jobs={1,4} --no-blueprint and require
+# byte-identical JSON reports — worker count, per-worker arena storage reuse
+# and cross-cell SystemBlueprint sharing must all be invisible in the output.
 # Invoked by the sweep_parallel_smoke test with -DDFLYSIM=<binary>
 # -DWORK_DIR=<build dir>.
 set(ARGS --app=UR:64 --scale=64 --seed=42 --sweep=4)
@@ -44,15 +43,6 @@ if(NOT NOBP_PAR_RESULT EQUAL 0)
   message(FATAL_ERROR "--jobs=4 --no-blueprint sweep failed with exit code ${NOBP_PAR_RESULT}")
 endif()
 
-# Both parallelism levels at once: 2 worker threads x 2 engine domains.
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=2 --cell-threads=2
-          --json=${WORK_DIR}/sweep_cellpar.json
-  RESULT_VARIABLE CELLPAR_RESULT OUTPUT_QUIET)
-if(NOT CELLPAR_RESULT EQUAL 0)
-  message(FATAL_ERROR "--cell-threads=2 sweep failed with exit code ${CELLPAR_RESULT}")
-endif()
-
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_par.json
@@ -88,13 +78,5 @@ if(NOT NOBP_PAR_DIFF_RESULT EQUAL 0)
                       "run (blueprint sharing changed the output)")
 endif()
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_cellpar.json
-  RESULT_VARIABLE CELLPAR_DIFF_RESULT)
-if(NOT CELLPAR_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=2 --cell-threads=2 sweep JSON differs from the sequential "
-                      "run (intra-cell parallel engine determinism regression)")
-endif()
-message(STATUS "jobs=1, jobs=4, jobs=4 --no-arena, jobs={1,4} --no-blueprint and "
-               "jobs=2 --cell-threads=2 sweep reports are byte-identical")
+message(STATUS "jobs=1, jobs=4, jobs=4 --no-arena and jobs={1,4} --no-blueprint "
+               "sweep reports are byte-identical")

@@ -68,22 +68,6 @@ void SimArena::return_engine(Engine&& engine) {
   engine_ = std::move(engine);
 }
 
-Engine SimArena::take_extra_engine() {
-  if (extra_engines_.empty()) return Engine{};
-  Engine engine = std::move(extra_engines_.front());
-  extra_engines_.pop_front();
-  engine.reset();
-  return engine;
-}
-
-void SimArena::return_extra_engine(Engine&& engine) {
-  track_peak(stats_.engine_peak_events, engine.peak_queued());
-  track_peak(stats_.engine_event_capacity, engine.event_capacity());
-  track_peak(stats_.closure_peak, engine.closure_capacity());
-  engine.reset();
-  extra_engines_.push_back(std::move(engine));
-}
-
 SimArena::NetStorage SimArena::take_net() {
   NetStorage storage = std::move(net_);
   net_ = NetStorage{};
@@ -127,8 +111,6 @@ void SimArena::return_system_storage(mpi::SystemStorage&& storage) {
 void SimArena::shed() {
   if (in_use()) return;  // a live Study owns the storage; nothing to drop
   engine_ = Engine{};
-  extra_engines_.clear();
-  extra_engines_.shrink_to_fit();
   net_ = NetStorage{};
   job_storage_.clear();
   job_storage_.shrink_to_fit();

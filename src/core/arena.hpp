@@ -96,12 +96,6 @@ class SimArena {
   /// the engine is reset and stored for the next cell.
   void return_engine(Engine&& engine);
 
-  /// Extra engines for the secondary domains of a parallel cell
-  /// (--cell-threads, src/sim/pdes.hpp): same recycle lifecycle as the
-  /// primary engine, one pooled engine per domain the worker has ever run.
-  Engine take_extra_engine();
-  void return_extra_engine(Engine&& engine);
-
   /// Move the carried network storage out. The pool comes back reset; the
   /// router/NIC objects still hold the previous cell's wiring and must be
   /// reinit()-ed before use (Network does this). Pair with return_net().
@@ -151,7 +145,6 @@ class SimArena {
  private:
   const void* owner_{nullptr};
   Engine engine_;
-  std::deque<Engine> extra_engines_;  ///< parked secondary-domain engines
   NetStorage net_;
   std::deque<mpi::JobStorage> job_storage_;  ///< parked bundles, FIFO order
   mpi::SystemStorage system_storage_;

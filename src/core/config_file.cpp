@@ -245,11 +245,6 @@ struct KeySpec {
 const std::vector<KeySpec>& key_specs() {
   using C = StudyConfig;
   using F = ConfigFile;
-  const auto int_key = [](const char* key, auto member) {
-    return KeySpec{key,
-                   [member](C& c, const F& f, const std::string& k) { c.*member = f.get_int(k); },
-                   [member](const C& c) { return std::to_string(c.*member); }};
-  };
   static const std::vector<KeySpec> specs{
       {"topo.p", [](C& c, const F& f, const std::string& k) { c.topo.p = f.get_int(k); },
        [](const C& c) { return std::to_string(c.topo.p); }},
@@ -282,7 +277,14 @@ const std::vector<KeySpec>& key_specs() {
          c.seed = seeds.front();
        },
        [](const C& c) { return std::to_string(c.seed); }},
-      int_key("scale", &C::scale),
+      {"scale",
+       [](C& c, const F& f, const std::string& k) {
+         c.scale = f.get_int(k);
+         if (c.scale < 1) {
+           throw std::invalid_argument("ConfigFile: " + f.where(k) + ": 'scale' must be >= 1");
+         }
+       },
+       [](const C& c) { return std::to_string(c.scale); }},
       {"time_limit_ms",
        [](C& c, const F& f, const std::string& k) { c.time_limit = f.get_int(k) * kMs; },
        [](const C& c) { return std::to_string(c.time_limit / kMs); }},
@@ -295,16 +297,6 @@ const std::vector<KeySpec>& key_specs() {
          }
        },
        [](const C& c) { return format_double(c.wall_limit_s); }},
-      {"cell_threads",
-       [](C& c, const F& f, const std::string& k) {
-         c.cell_threads = f.get_int(k);
-         if (c.cell_threads < 0) {
-           throw std::invalid_argument("ConfigFile: " + f.where(k) +
-                                       ": 'cell_threads' must be >= 0 (0 = resolve from "
-                                       "DFSIM_CELL_THREADS)");
-         }
-       },
-       [](const C& c) { return std::to_string(c.cell_threads); }},
       {"net.flit_bytes",
        [](C& c, const F& f, const std::string& k) { c.net.flit_bytes = f.get_int(k); },
        [](const C& c) { return std::to_string(c.net.flit_bytes); }},

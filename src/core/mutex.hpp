@@ -12,8 +12,8 @@
 /// dfly::Mutex is a zero-overhead std::mutex wrapper declared as a
 /// CAPABILITY, and dfly::MutexLock is the matching SCOPED_CAPABILITY RAII
 /// holder. Every cross-thread structure in the repo (BlueprintCache,
-/// SubmissionQueue, the serve daemon, PdesRunner's error channel) locks
-/// through these so the analysis can prove each guarded access.
+/// SubmissionQueue, the serve daemon) locks through these so the analysis
+/// can prove each guarded access.
 ///
 /// Condition variables: MutexLock wraps a std::unique_lock, so it can drive a
 /// plain std::condition_variable via wait(). The analysis models the

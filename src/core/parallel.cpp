@@ -47,12 +47,6 @@ int resolve_jobs(int requested, int fallback) {
   return fallback < 1 ? 1 : fallback;
 }
 
-int resolve_cell_threads(int requested) {
-  if (requested > 0) return requested;
-  if (const int threads = positive_env_int("DFSIM_CELL_THREADS")) return threads;
-  return 1;
-}
-
 namespace {
 
 /// The memory actually available to THIS process: the host's physical RAM,
@@ -88,13 +82,10 @@ std::uint64_t available_memory_bytes() {
 
 }  // namespace
 
-int memory_jobs_cap(int cell_threads) {
-  if (cell_threads < 1) cell_threads = 1;
-  const std::uint64_t budget =
-      kCellBudgetBytes + static_cast<std::uint64_t>(cell_threads - 1) * kDomainBudgetBytes;
+int memory_jobs_cap() {
   const std::uint64_t memory = available_memory_bytes();
   if (memory > 0) {
-    const std::uint64_t cells = memory / 2 / budget;
+    const std::uint64_t cells = memory / 2 / kCellBudgetBytes;
     if (cells < 1) return 1;
     if (cells > 256) return 256;
     return static_cast<int>(cells);
@@ -102,11 +93,10 @@ int memory_jobs_cap(int cell_threads) {
   return 12;  // the pre-blueprint fixed cap, kept as the conservative fallback
 }
 
-int hardware_jobs(int cell_threads) {
-  if (cell_threads < 1) cell_threads = 1;
-  int jobs = static_cast<int>(std::thread::hardware_concurrency()) / cell_threads;
+int hardware_jobs() {
+  int jobs = static_cast<int>(std::thread::hardware_concurrency());
   if (jobs < 1) jobs = 1;
-  const int cap = memory_jobs_cap(cell_threads);
+  const int cap = memory_jobs_cap();
   return jobs < cap ? jobs : cap;
 }
 

@@ -47,21 +47,14 @@ struct WorkerErrors {
   std::string summary() const;
 };
 
-/// Worker count for a pool of independent cells (--jobs, the first
-/// parallelism level). `requested` > 0 wins; else DFSIM_JOBS (which must be
-/// a positive integer, parsed strictly over the whole string — "4x", "abc",
-/// "" and "0" throw std::invalid_argument with one clear line, exactly like
-/// a bad config value, instead of being silently truncated or ignored); else
-/// `fallback` (clamped to >= 1). The same resolution backs the `--jobs=N`
-/// flag on `dflysim` and on every bench binary.
+/// Worker count for a pool of independent cells (--jobs). `requested` > 0
+/// wins; else DFSIM_JOBS (which must be a positive integer, parsed strictly
+/// over the whole string — "4x", "abc", "" and "0" throw
+/// std::invalid_argument with one clear line, exactly like a bad config
+/// value, instead of being silently truncated or ignored); else `fallback`
+/// (clamped to >= 1). The same resolution backs the `--jobs=N` flag on
+/// `dflysim` and on every bench binary.
 int resolve_jobs(int requested, int fallback = 1);
-
-/// Intra-cell thread-count resolution for --cell-threads (the second
-/// parallelism level: threads *inside* one cell, src/sim/pdes.hpp).
-/// `requested` > 0 wins; else DFSIM_CELL_THREADS with the same strict
-/// full-string parse as DFSIM_JOBS; else 1 (sequential). Output never
-/// depends on the resolved value.
-int resolve_cell_threads(int requested);
 
 /// Per-cell peak-RSS budget used by memory_jobs_cap(): the measured
 /// high-water mutable footprint of one full 1,056-node cell *with* blueprint
@@ -72,28 +65,17 @@ int resolve_cell_threads(int requested);
 /// overrides the derived cap.
 inline constexpr std::uint64_t kCellBudgetBytes = 192ull << 20;  // 192 MiB
 
-/// Per-extra-domain memory charge under --cell-threads (heap + closures +
-/// stats shard of one secondary engine; small next to the cell's pool and
-/// router buffers, which stay shared across domains).
-inline constexpr std::uint64_t kDomainBudgetBytes = 16ull << 20;  // 16 MiB
-
 /// Workers admitted by available memory: in-flight cells may budget at most
 /// half of the memory this process can actually use — physical RAM, further
 /// limited by a cgroup ceiling when one is set (containers/CI) — at
 /// kCellBudgetBytes each (the blueprint keeps the read-only plan out of that
 /// constant). Falls back to 12 when no limit can be determined; clamped to
 /// [1, 256].
-///
-/// `cell_threads` > 1 widens the per-cell budget: each extra domain engine
-/// carries its own event heap, closure slab and packet-log shard
-/// (kDomainBudgetBytes apiece), so `jobs x cell_threads` oversubscription is
-/// charged for, not ignored.
-int memory_jobs_cap(int cell_threads = 1);
+int memory_jobs_cap();
 
-/// min(hardware_concurrency / cell_threads, memory_jobs_cap(cell_threads)),
-/// at least 1: the worker count that keeps jobs x cell_threads at or below
-/// the machine's cores and memory.
-int hardware_jobs(int cell_threads = 1);
+/// min(hardware_concurrency, memory_jobs_cap()), at least 1: the worker
+/// count that keeps the pool within the machine's cores and memory.
+int hardware_jobs();
 
 class BlueprintCache;
 

@@ -379,15 +379,6 @@ PlanOutcome run_plan(const ExperimentPlan& plan, PlanSink& sink,
                                 " shards");
   }
   std::vector<PlanCell> cells = plan.expand();
-  if (options.cell_threads > 0) {
-    // Byte-neutral (the parallel engine replays the sequential event order
-    // exactly) and excluded from plan_cell_hash, so resume journals written
-    // at one thread count validate at any other.
-    for (PlanCell& cell : cells) {
-      if (cell.config.cell_threads == 0) cell.config.cell_threads = options.cell_threads;
-    }
-  }
-
   PlanOutcome outcome;
   std::vector<char> done(cells.size(), 0);
 

@@ -331,12 +331,6 @@ struct RunPlanOptions {
   /// `queue` is null: > 0 = exact, 0 = DFSIM_JOBS else sequential; capped at
   /// the number of cells to run, so no worker starts idle.
   int jobs{0};
-  /// Intra-cell threads (--cell-threads): applied to every expanded cell
-  /// whose config leaves cell_threads at 0 — a cell that sets its own value
-  /// (plan file / variant overlay) keeps it. Byte-neutral: cell output and
-  /// plan_cell_hash are identical for every value, so a journaled campaign
-  /// can be resumed with a different cell-thread count.
-  int cell_threads{0};
   /// Deterministic slice to execute (default: every cell).
   PlanShard shard{};
   /// When set, every finished cell (ok, failed or timed out) is durably

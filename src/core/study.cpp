@@ -62,7 +62,6 @@ Study::~Study() {
     traces_.clear();
     mpi_system_.reset();
     network_.reset();
-    pdes_.reset();  // after network_: NICs record into the cell's shards
     routing_.reset();
     motifs_.clear();
   }
@@ -123,11 +122,9 @@ void Study::build() {
                                   blueprint_->initial_qtables()};
   routing_ = routing::make_routing(config_.routing, context);
   network_ = std::make_unique<Network>(engine_, *blueprint_, *routing_, num_apps,
-                                       config_.seed, config_.observability, arena_,
-                                       pdes_.get());
+                                       config_.seed, config_.observability, arena_);
   if (!config_.faults.empty()) network_->apply_faults(blueprint_->faults());
   mpi_system_ = std::make_unique<mpi::MpiSystem>(*network_, arena_);
-  if (pdes_ != nullptr) mpi_system_->set_locking(true);
   int app_id = 0;
   for (auto& pending : pending_) {
     motifs_.push_back(std::move(pending.motif));
@@ -136,7 +133,6 @@ void Study::build() {
                                                std::move(pending.nodes), config_.seed,
                                                config_.protocol, arena_));
     network_->set_app_class(app_id, pending.traffic_class);
-    jobs_.back()->set_locking(pdes_ != nullptr);
     traces_.push_back(pending.record_trace ? std::make_unique<trace::MessageTrace>() : nullptr);
     if (traces_.back() != nullptr) jobs_.back()->set_send_observer(traces_.back().get());
     ++app_id;
@@ -152,25 +148,6 @@ Report Study::run() {
   // creates one frame per rank; waves recycle frames as the clock advances).
   // Nested scope, same reasoning as in the destructor.
   mpi::ScopedFramePoolBinding frame_binding(arena_ != nullptr ? &arena_->frame_pool() : nullptr);
-  // Intra-cell parallelism (--cell-threads): eligible cells split their
-  // groups across domain engines *before* build() wires components, so every
-  // router/NIC/rank lands on its domain's engine. Ineligible cells — adaptive
-  // routings that carry cross-group state, record-keeping runs, traced runs,
-  // single-group topologies, zero lookahead — silently run sequentially;
-  // either way the output is byte-identical (src/sim/pdes.hpp).
-  const int cell_threads = resolve_cell_threads(config_.cell_threads);
-  if (cell_threads > 1 && routing::is_cell_parallel(config_.routing) &&
-      !config_.observability.keep_packet_records) {
-    bool tracing = false;
-    for (const auto& pending : pending_) tracing = tracing || pending.record_trace;
-    if (!tracing) {
-      CellPartition partition = CellPartition::build(*blueprint_, cell_threads);
-      if (partition.num_domains > 1 && partition.lookahead > 0) {
-        pdes_ = std::make_unique<PdesCell>(engine_, std::move(partition), arena_);
-        pdes_->begin_setup();
-      }
-    }
-  }
   build();
   for (auto& job : jobs_) job->start();
   // Arm the cooperative watchdog for this run only: a WallDeadlineExceeded
@@ -182,13 +159,7 @@ Report Study::run() {
                               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                                   std::chrono::duration<double>(config_.wall_limit_s)));
   }
-  if (pdes_ != nullptr) {
-    PdesRunner(*pdes_, config_.time_limit).run();
-    pdes_->finish();
-    network_->finalize_pdes();
-  } else {
-    engine_.run(config_.time_limit);
-  }
+  engine_.run(config_.time_limit);
   engine_.clear_wall_deadline();
   return report();
 }

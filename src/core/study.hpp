@@ -9,7 +9,6 @@
 #include "net/network.hpp"
 #include "routing/factory.hpp"
 #include "sim/engine.hpp"
-#include "sim/pdes.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/placement.hpp"
 #include "trace/trace.hpp"
@@ -43,14 +42,6 @@ struct StudyConfig {
   /// hung cell is recorded as a timeout instead of stalling the campaign.
   /// Like seed/scale/time_limit, this never affects the blueprint shape.
   double wall_limit_s{0};
-  /// Intra-cell parallelism: run this cell's event processing on up to this
-  /// many threads, partitioned by Dragonfly group (src/sim/pdes.hpp). 0 =
-  /// resolve from DFSIM_CELL_THREADS (default 1 = today's sequential engine).
-  /// Output is byte-identical for every value — cells that cannot be
-  /// partitioned (adaptive state-carrying routings, record-keeping runs,
-  /// single-group topologies) silently fall back to sequential. Never affects
-  /// the blueprint shape.
-  int cell_threads{0};
 };
 
 /// Per-application results of a finished run.
@@ -176,10 +167,6 @@ class Study {
   RoutingAlgorithm& routing() { return *routing_; }
   /// The arena this Study borrowed storage from (null = building fresh).
   SimArena* arena() const { return arena_; }
-  /// The parallel cell driving this run under --cell-threads, or null when
-  /// the cell runs (or fell back to) the sequential engine. Valid after
-  /// run(); bench_pdes reads window/cross-domain counters through this.
-  const PdesCell* pdes() const { return pdes_.get(); }
 
   /// Build the report for the current state (run() calls this at the end).
   Report report() const;
@@ -208,9 +195,6 @@ class Study {
   Placer placer_;
   std::vector<PendingJob> pending_;
   std::unique_ptr<RoutingAlgorithm> routing_;
-  // Declared before network_ (destroyed after it): the Network's NICs write
-  // into the cell's per-domain stats shards until the Network goes away.
-  std::unique_ptr<PdesCell> pdes_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<mpi::MpiSystem> mpi_system_;
   std::vector<std::unique_ptr<mpi::Motif>> motifs_;

@@ -76,10 +76,7 @@ void Job::start() {
 }
 
 void Job::rank_finished(RankCtx& ctx) {
-  const auto lock = maybe_lock();
   ++finished_ranks_;
-  // The finishing rank's own clock: in a parallel cell the job's primary
-  // engine may be on another domain's (earlier or later) window position.
   if (ctx.now() > finish_time_) finish_time_ = ctx.now();
 }
 
@@ -93,7 +90,6 @@ std::uint64_t Job::submit(int src_rank, int dst_rank, std::int64_t bytes, int ta
 }
 
 void Job::post_send(int src_rank, int dst_rank, std::int64_t bytes, int tag, ReqId send_req) {
-  const auto lock = maybe_lock();
   if (send_observer_ != nullptr) {
     send_observer_->on_post_send(app_id_, ranks_[static_cast<std::size_t>(src_rank)]->now(),
                                  src_rank, dst_rank, bytes, tag);
@@ -109,7 +105,6 @@ void Job::post_send(int src_rank, int dst_rank, std::int64_t bytes, int tag, Req
 }
 
 void Job::rdv_matched(std::uint64_t rdv_id, int dst_rank, ReqId recv_req) {
-  const auto lock = maybe_lock();
   RdvState& state = rendezvous_.at(rdv_id);
   assert(!state.recv_known);
   state.recv_known = true;
@@ -119,7 +114,6 @@ void Job::rdv_matched(std::uint64_t rdv_id, int dst_rank, ReqId recv_req) {
 }
 
 void Job::rdv_sink(std::uint64_t rdv_id, int dst_rank) {
-  const auto lock = maybe_lock();
   RdvState& state = rendezvous_.at(rdv_id);
   assert(!state.recv_known);
   state.recv_known = true;
@@ -128,7 +122,6 @@ void Job::rdv_sink(std::uint64_t rdv_id, int dst_rank) {
 }
 
 void Job::on_message_sent(std::uint64_t msg_id) {
-  const auto lock = maybe_lock();
   const MsgMeta* meta = inflight_.find(msg_id);
   assert(meta != nullptr);
   // The sender's request completes when its *payload* is fully on the wire:
@@ -139,7 +132,6 @@ void Job::on_message_sent(std::uint64_t msg_id) {
 }
 
 void Job::on_message_delivered(std::uint64_t msg_id) {
-  const auto lock = maybe_lock();
   const MsgMeta* it = inflight_.find(msg_id);
   assert(it != nullptr);
   const MsgMeta meta = *it;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,14 +126,6 @@ class Job {
   /// Attach an application-level send observer (null to detach).
   void set_send_observer(SendObserver* observer) { send_observer_ = observer; }
 
-  /// Serialise the protocol entry points for a parallel cell
-  /// (src/sim/pdes.hpp): a job's ranks span domains, so post_send /
-  /// on_message_* / rank_finished can run on different domain threads. The
-  /// mutex is recursive because completing a request resumes the waiting
-  /// coroutine synchronously, which may re-enter post_send on the same
-  /// thread. Sequential cells leave it off and pay one branch per entry.
-  void set_locking(bool locking) { locking_ = locking; }
-
  private:
   /// Sentinel receive-request id for sink-accepted rendezvous (rdv_sink).
   static constexpr ReqId kSinkRecv = 0xffffffffu;
@@ -142,12 +133,6 @@ class Job {
   Task drive(RankCtx& ctx);
   std::uint64_t submit(int src_rank, int dst_rank, std::int64_t bytes, int tag, ReqId send_req,
                        MsgKind kind, std::uint64_t rdv_id);
-
-  /// Lock held only when locking_ (parallel cell); empty otherwise.
-  std::unique_lock<std::recursive_mutex> maybe_lock() {
-    return locking_ ? std::unique_lock<std::recursive_mutex>(mutex_)
-                    : std::unique_lock<std::recursive_mutex>();
-  }
 
   Engine* engine_;
   Network* network_;
@@ -162,8 +147,6 @@ class Job {
   std::vector<Task> tasks_;
   FlatMap<MsgMeta> inflight_;
   FlatMap<RdvState> rendezvous_;
-  std::recursive_mutex mutex_;  ///< guards the protocol state when locking_
-  bool locking_{false};
   std::uint64_t next_rdv_id_{1};
   SendObserver* send_observer_{nullptr};
   int finished_ranks_{0};
@@ -182,43 +165,18 @@ class MpiSystem final : public MessageEvents {
   MpiSystem(const MpiSystem&) = delete;
   MpiSystem& operator=(const MpiSystem&) = delete;
 
-  void track(std::uint64_t msg_id, Job& job) {
-    std::unique_lock<std::mutex> lock;
-    if (locking_) lock = std::unique_lock<std::mutex>(mutex_);
-    owners_.emplace(msg_id, &job);
-  }
+  void track(std::uint64_t msg_id, Job& job) { owners_.emplace(msg_id, &job); }
 
-  // The owners_ mutex is a leaf: the map lookup/erase happens under it, the
-  // Job call after releasing it — Job has its own (recursive) lock, so no
-  // lock ordering can invert.
-  void message_sent(std::uint64_t msg_id) override {
-    Job* job;
-    {
-      std::unique_lock<std::mutex> lock;
-      if (locking_) lock = std::unique_lock<std::mutex>(mutex_);
-      job = owners_.at(msg_id);
-    }
-    job->on_message_sent(msg_id);
-  }
+  void message_sent(std::uint64_t msg_id) override { owners_.at(msg_id)->on_message_sent(msg_id); }
   void message_delivered(std::uint64_t msg_id) override {
-    Job* job;
-    {
-      std::unique_lock<std::mutex> lock;
-      if (locking_) lock = std::unique_lock<std::mutex>(mutex_);
-      job = owners_.at(msg_id);
-      owners_.erase(msg_id);
-    }
+    Job* job = owners_.at(msg_id);
+    owners_.erase(msg_id);
     job->on_message_delivered(msg_id);
   }
-
-  /// Serialise the routing map for a parallel cell (see Job::set_locking).
-  void set_locking(bool locking) { locking_ = locking; }
 
  private:
   SimArena* arena_;
   FlatMap<Job*> owners_;
-  std::mutex mutex_;  ///< guards owners_ when locking_
-  bool locking_{false};
 };
 
 }  // namespace dfly::mpi

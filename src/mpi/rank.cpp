@@ -11,21 +11,14 @@ constexpr std::uint32_t kResume = 1;
 }
 
 RankCtx::RankCtx(Job& job, int rank, int node, Rng rng)
-    : job_(&job), rank_(rank), node_(node), rng_(rng) {
-  bind_engine();
-}
-
-void RankCtx::bind_engine() {
-  engine_ = &job_->network().engine_for_node(node_);
-  set_pdes_domain(engine_->pdes_domain_id());
-}
+    : job_(&job), engine_(&job.network().engine()), rank_(rank), node_(node), rng_(rng) {}
 
 void RankCtx::reinit(Job& job, int rank, int node, Rng rng) {
   job_ = &job;
   rank_ = rank;
   node_ = node;
   rng_ = rng;
-  bind_engine();
+  engine_ = &job.network().engine();
   match_.reset();
   slots_.clear();        // capacity kept: ids are handed out 0, 1, 2, ... again
   free_slots_.clear();

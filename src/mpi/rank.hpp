@@ -160,10 +160,6 @@ class RankCtx final : public Component {
   friend class Job;
 
   ReqId alloc_request();
-  /// Resolve the engine this rank's node lives on (the cell engine when
-  /// sequential, the node's domain engine under --cell-threads) and stamp the
-  /// matching pdes domain. Both construction paths funnel through this.
-  void bind_engine();
   void release_request(ReqId id);
   void finish_wait(ReqId id, SimTime suspended_at);
   void note_block();
@@ -173,7 +169,7 @@ class RankCtx final : public Component {
   static constexpr int kCollTagBase = 1 << 20;
 
   Job* job_;
-  Engine* engine_{nullptr};  ///< this node's domain engine (see bind_engine)
+  Engine* engine_{nullptr};  ///< the cell engine (the network's)
   int rank_;
   int node_;
   Rng rng_;

@@ -6,20 +6,18 @@
 
 #include "core/arena.hpp"
 #include "core/blueprint.hpp"
-#include "sim/pdes.hpp"
 
 namespace dfly {
 
 Network::Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgorithm& routing,
                  int num_apps, std::uint64_t seed, NetworkObservability observability,
-                 SimArena* arena, PdesCell* pdes)
+                 SimArena* arena)
     : engine_(&engine),
       blueprint_(&blueprint),
       topo_(&blueprint.topo()),
       cfg_(&blueprint.net()),
       links_(&blueprint.links()),
       arena_(arena),
-      pdes_(pdes),
       traffic_classes_(num_apps) {
   const Dragonfly& topo = *topo_;
   if (arena_ != nullptr) {
@@ -35,31 +33,19 @@ Network::Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgori
   }
   link_stats_.reset(links_->total_links(), num_apps);
   packet_log_.reset(num_apps, observability.keep_packet_records, observability.throughput_bucket);
-  if (pdes_ != nullptr) {
-    // Parallel cell: per-domain packet-log shards for the secondary domains'
-    // NICs, and locking on the structures touched across domains.
-    for (PacketLog& shard : pdes_->log_shards()) {
-      shard.reset(num_apps, observability.keep_packet_records, observability.throughput_bucket);
-    }
-    pool_.set_locking(true);
-  }
 
   const auto num_routers = static_cast<std::size_t>(topo.num_routers());
   if (routers_.size() > num_routers) routers_.resize(num_routers);
   routers_.reserve(num_routers);
   for (int r = 0; r < topo.num_routers(); ++r) {
     const auto slot = static_cast<std::size_t>(r);
-    const std::int32_t domain = pdes_ != nullptr ? pdes_->partition().domain_of_router(r) : 0;
-    Engine& domain_engine = pdes_ != nullptr ? pdes_->engine(domain) : engine;
     const bool reused = slot < routers_.size();
     if (reused) {
-      routers_[slot]->reinit(domain_engine, blueprint, r, pool_, link_stats_, seed);
+      routers_[slot]->reinit(engine, blueprint, r, pool_, link_stats_, seed);
     } else {
-      routers_.push_back(std::make_unique<Router>(domain_engine, blueprint, r, pool_,
-                                                  link_stats_, seed));
+      routers_.push_back(std::make_unique<Router>(engine, blueprint, r, pool_, link_stats_, seed));
     }
     if (arena_ != nullptr) arena_->count_router(reused);
-    routers_[slot]->set_pdes_domain(domain);
     routers_[slot]->set_routing(routing);
   }
   const auto num_nodes = static_cast<std::size_t>(topo.num_nodes());
@@ -67,20 +53,14 @@ Network::Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgori
   nics_.reserve(num_nodes);
   for (int n = 0; n < topo.num_nodes(); ++n) {
     const auto slot = static_cast<std::size_t>(n);
-    const std::int32_t domain = pdes_ != nullptr ? pdes_->partition().domain_of_node(n) : 0;
-    Engine& domain_engine = pdes_ != nullptr ? pdes_->engine(domain) : engine;
-    PacketLog* shard = pdes_ != nullptr ? pdes_->log_shard(domain) : nullptr;
-    PacketLog& nic_log = shard != nullptr ? *shard : packet_log_;
     const bool reused = slot < nics_.size();
     if (reused) {
-      nics_[slot]->reinit(domain_engine, blueprint, n, pool_, link_stats_, nic_log);
+      nics_[slot]->reinit(engine, blueprint, n, pool_, link_stats_, packet_log_);
     } else {
-      nics_.push_back(std::make_unique<Nic>(domain_engine, blueprint, n, pool_, link_stats_,
-                                            nic_log));
+      nics_.push_back(
+          std::make_unique<Nic>(engine, blueprint, n, pool_, link_stats_, packet_log_));
     }
     if (arena_ != nullptr) arena_->count_nic(reused);
-    nics_[slot]->set_pdes_domain(domain);
-    nics_[slot]->set_locking(pdes_ != nullptr);
     nics_[slot]->attach(*routers_[static_cast<std::size_t>(topo.router_of_node(n))]);
     nics_[slot]->set_traffic_classes(&traffic_classes_);
     nics_[slot]->set_directory(this);
@@ -139,28 +119,17 @@ void Network::set_sink(MessageEvents& sink) {
   for (auto& nic : nics_) nic->set_sink(&sink);
 }
 
-Engine& Network::engine_for_node(int node) {
-  return pdes_ != nullptr ? pdes_->engine_for_node(node) : *engine_;
-}
-
-void Network::finalize_pdes() {
-  if (pdes_ == nullptr) return;
-  for (PacketLog& shard : pdes_->log_shards()) packet_log_.merge_from(shard);
-}
-
 std::uint64_t Network::send_message(int src_node, int dst_node, std::int64_t bytes, int app_id) {
   assert(bytes >= 1);
-  const std::uint64_t msg_id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t msg_id = next_msg_id_++;
   if (src_node == dst_node) {
     // Local (intra-node) message: no network involvement. Completes after a
-    // memcpy-like delay at link rate so timing stays monotone. The closure
-    // runs on the source node's domain engine (the caller's own domain).
+    // memcpy-like delay at link rate so timing stays monotone.
     const SimTime delay = cfg_->serialization(static_cast<int>(bytes > cfg_->packet_bytes
                                                                    ? cfg_->packet_bytes
                                                                    : bytes));
     MessageEvents* sink = sink_;
-    Engine& src_engine = engine_for_node(src_node);
-    src_engine.call_at(src_engine.now() + delay, [sink, msg_id] {
+    engine_->call_in(delay, [sink, msg_id] {
       if (sink != nullptr) {
         sink->message_sent(msg_id);
         sink->message_delivered(msg_id);

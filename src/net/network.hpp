@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,7 +18,6 @@
 
 namespace dfly {
 
-class PdesCell;
 class SimArena;
 class SystemBlueprint;
 
@@ -49,14 +47,9 @@ struct NetworkObservability {
 /// output is bit-identical with or without an arena.
 class Network final : public NicDirectory {
  public:
-  /// `pdes` (src/sim/pdes.hpp) makes this a parallel cell's network: routers
-  /// and NICs are constructed on their domain's engine and stamped with their
-  /// domain id, NICs record into per-domain packet-log shards, and the few
-  /// structures touched across domains (packet pool, NIC inbound maps) turn
-  /// their locking on. Null (the default) is the sequential path, unchanged.
   Network(Engine& engine, const SystemBlueprint& blueprint, RoutingAlgorithm& routing,
           int num_apps, std::uint64_t seed, NetworkObservability observability = {},
-          SimArena* arena = nullptr, PdesCell* pdes = nullptr);
+          SimArena* arena = nullptr);
   ~Network() override;
 
   /// Queue a message; returns the assigned message id. Self-sends (src ==
@@ -72,16 +65,6 @@ class Network final : public NicDirectory {
   const Dragonfly& topo() const { return *topo_; }
   const NetConfig& cfg() const { return *cfg_; }
   Engine& engine() { return *engine_; }
-
-  /// Domain engine owning `node`'s components (the cell engine when
-  /// sequential). The MPI layer schedules per-rank work on this.
-  Engine& engine_for_node(int node);
-  bool parallel() const { return pdes_ != nullptr; }
-  PdesCell* pdes() { return pdes_; }
-
-  /// After a parallel run: fold the per-domain packet-log shards back into
-  /// packet_log(). No-op for sequential cells.
-  void finalize_pdes();
 
   /// Apply a set of link faults (degraded serialisation / extra latency on
   /// router output wires). Call before traffic starts; faults on terminal
@@ -111,7 +94,6 @@ class Network final : public NicDirectory {
   const NetConfig* cfg_;              ///< = &blueprint_->net()
   const LinkMap* links_;              ///< = &blueprint_->links()
   SimArena* arena_;  ///< storage donor/recipient; null = self-owned only
-  PdesCell* pdes_;   ///< parallel-cell domain map; null = sequential
   // pool_/link_stats_/packet_log_/routers_/nics_ hold arena-borrowed storage
   // when arena_ is set; the destructor moves it back.
   PacketPool pool_;
@@ -121,11 +103,7 @@ class Network final : public NicDirectory {
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
   MessageEvents* sink_{nullptr};
-  // Atomic because in a parallel cell every domain thread mints ids; the
-  // values are opaque map keys, so the thread-dependent assignment order is
-  // unobservable (relaxed fetch_add degenerates to the sequential counter
-  // when single-threaded).
-  std::atomic<std::uint64_t> next_msg_id_{1};
+  std::uint64_t next_msg_id_{1};
 };
 
 }  // namespace dfly

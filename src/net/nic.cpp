@@ -31,7 +31,6 @@ void Nic::reinit(Engine& engine, const SystemBlueprint& blueprint, int node,
   sendq_.clear();
   queued_bytes_ = 0;
   inbound_.clear();
-  locking_ = false;
   credits_ = cfg.buffer_packets;
   busy_until_ = 0;
   try_pending_ = false;
@@ -56,10 +55,6 @@ void Nic::enqueue_message(std::uint64_t msg_id, int dst_node, std::int64_t bytes
 
 void Nic::expect_message(std::uint64_t msg_id, std::int64_t bytes) {
   assert(bytes >= 1);
-  // Called on the destination NIC from the sender's side, which in a parallel
-  // cell is another domain's thread — the one cross-domain write on a NIC.
-  std::unique_lock<std::mutex> lock;
-  if (locking_) lock = std::unique_lock<std::mutex>(inbound_mutex_);
   inbound_.emplace(msg_id, bytes);
 }
 
@@ -203,17 +198,12 @@ void Nic::on_eject(Engine& engine, std::uint32_t packet_id) {
                      static_cast<std::uint64_t>(pkt.out_vc));
 
   const std::uint64_t msg_id = pkt.msg_id;
-  bool complete = false;
-  {
-    std::unique_lock<std::mutex> lock;
-    if (locking_) lock = std::unique_lock<std::mutex>(inbound_mutex_);
-    std::int64_t* remaining = inbound_.find(msg_id);
-    assert(remaining != nullptr && "packet for unknown message");
-    *remaining -= pkt.bytes;
-    assert(*remaining >= 0);
-    complete = *remaining == 0;
-    if (complete) inbound_.erase(msg_id);
-  }
+  std::int64_t* remaining = inbound_.find(msg_id);
+  assert(remaining != nullptr && "packet for unknown message");
+  *remaining -= pkt.bytes;
+  assert(*remaining >= 0);
+  const bool complete = *remaining == 0;
+  if (complete) inbound_.erase(msg_id);
   pool_->release(pkt);
   if (complete && sink_ != nullptr) sink_->message_delivered(msg_id);
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 
 #include "core/flat_map.hpp"
 #include "core/ring_queue.hpp"
@@ -80,12 +79,6 @@ class Nic final : public Component {
   /// Peer lookup for congestion notifications (null disables reflection).
   void set_directory(NicDirectory* directory) { directory_ = directory; }
 
-  /// Serialise the inbound-message map for a parallel cell (src/sim/pdes.hpp):
-  /// expect_message is called from the sender's domain while on_eject runs on
-  /// this NIC's own domain. Sequential cells leave it off (reinit resets it)
-  /// and pay one branch per map touch.
-  void set_locking(bool locking) { locking_ = locking; }
-
   /// Current AIMD injection rate (fraction of link rate; 1.0 = unthrottled).
   double injection_rate() const { return rate_; }
   /// Congestion notifications received by this source so far.
@@ -139,8 +132,6 @@ class Nic final : public Component {
   // allocation-free once the table has grown to the cell's peak in-flight
   // count — the table itself rides the arena recycle via reinit().
   FlatMap<std::int64_t> inbound_;
-  std::mutex inbound_mutex_;  ///< guards inbound_ when locking_ (parallel cell)
-  bool locking_{false};
   int credits_;
   SimTime busy_until_{0};
   bool try_pending_{false};

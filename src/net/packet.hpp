@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -60,15 +59,8 @@ struct Packet {
 /// path, core/arena.hpp). A reset pool hands out slot ids 0, 1, 2, ... exactly
 /// like a fresh one, so reuse is invisible to the simulation.
 ///
-/// Thread-safety: a PacketPool belongs to one Network and therefore to one
-/// simulation cell. In a parallel cell (--cell-threads, src/sim/pdes.hpp)
-/// the cell's domains share it: set_locking(true) serialises alloc/release
-/// behind a mutex, while get() stays lock-free by construction — the chunk
-/// directory is a fixed array allocated up front (so lookups never race a
-/// growth reallocation), and a foreign domain only learns a packet id through
-/// a cross-domain event delivered at a barrier, which happens-after the chunk
-/// publication under the alloc mutex. Sequential cells leave locking off and
-/// pay one predictable branch per alloc/release.
+/// Thread-safety: none — a PacketPool belongs to one Network and therefore to
+/// one simulation cell, which runs on one thread.
 class PacketPool {
  public:
   /// 4096 packets per chunk; the directory holds up to 4096 chunk pointers
@@ -78,7 +70,6 @@ class PacketPool {
   static constexpr std::uint32_t kMaxChunks = 4096;
 
   Packet& alloc() {
-    const MaybeLock lock(locking_ ? mutex_.get() : nullptr);
     if (free_.empty()) {
       const std::uint32_t id = size_++;
       if ((id & (kChunkSize - 1)) == 0) grow_chunk(id >> kChunkShift);
@@ -97,15 +88,12 @@ class PacketPool {
     return p;
   }
 
-  void release(const Packet& p) {
-    const MaybeLock lock(locking_ ? mutex_.get() : nullptr);
-    free_.push_back(p.id);
-  }
+  void release(const Packet& p) { free_.push_back(p.id); }
 
   /// Return every slot to the free list, keeping the chunk storage. The free
   /// list is rebuilt descending so the next allocations draw ids 0, 1, 2, ...
   /// — byte-identical behaviour to a freshly-constructed pool. Zeroes the
-  /// per-cell peak counter and turns locking back off.
+  /// per-cell peak counter.
   void reset() {
     free_.clear();
     free_.reserve(size_);
@@ -113,7 +101,6 @@ class PacketPool {
       free_.push_back(static_cast<std::uint32_t>(id));
     }
     peak_in_use_ = 0;
-    locking_ = false;
   }
 
   /// Grow the storage to at least `slots` packets. Only meaningful on an idle
@@ -125,13 +112,6 @@ class PacketPool {
       dir_[id >> kChunkShift][id & (kChunkSize - 1)].id = id;
     }
     reset();
-  }
-
-  /// Serialise alloc/release for a parallel cell. Enabled by Network when the
-  /// cell runs domains on multiple threads; reset() disables it again.
-  void set_locking(bool locking) {
-    if (locking && mutex_ == nullptr) mutex_ = std::make_unique<std::mutex>();
-    locking_ = locking;
   }
 
   Packet& get(std::uint32_t id) { return dir_[id >> kChunkShift][id & (kChunkSize - 1)]; }
@@ -146,23 +126,6 @@ class PacketPool {
   std::size_t peak_in_use() const { return peak_in_use_; }
 
  private:
-  /// Locks the pool mutex only when locking is enabled; the sequential path
-  /// pays one branch.
-  class MaybeLock {
-   public:
-    explicit MaybeLock(std::mutex* mutex) : mutex_(mutex) {
-      if (mutex_ != nullptr) mutex_->lock();
-    }
-    ~MaybeLock() {
-      if (mutex_ != nullptr) mutex_->unlock();
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-
-   private:
-    std::mutex* mutex_;
-  };
-
   /// Publish a new chunk. The directory itself is allocated once, lazily, at
   /// its full fixed size, so get() never observes it mid-reallocation.
   void grow_chunk(std::uint32_t chunk) {
@@ -174,8 +137,6 @@ class PacketPool {
   std::uint32_t size_{0};  ///< slots constructed across all chunks
   std::vector<std::uint32_t> free_;
   std::size_t peak_in_use_{0};
-  std::unique_ptr<std::mutex> mutex_;  ///< created on first set_locking(true)
-  bool locking_{false};
 };
 
 }  // namespace dfly

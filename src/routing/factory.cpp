@@ -35,11 +35,6 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name,
   throw std::invalid_argument("unknown routing algorithm: " + name);
 }
 
-bool is_cell_parallel(const std::string& name) {
-  return name == "MIN" || name == "VALg" || name == "VALn" || name == "UGALg" ||
-         name == "UGALn" || name == "PAR";
-}
-
 const std::vector<std::string>& paper_routings() {
   static const std::vector<std::string> names{"UGALg", "UGALn", "PAR", "Q-adp"};
   return names;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/pdes.hpp"
-
 namespace dfly {
 
 /// Adapter that lets InlineFn callbacks ride the component event path.
@@ -52,10 +50,6 @@ void Engine::schedule_at(SimTime when, Component& target, std::uint32_t kind,
                          std::uint64_t a, std::uint64_t b) {
   assert(when >= now_ && "cannot schedule into the past");
   ++stats_.scheduled_by_kind[EngineStats::slot(kind)];
-  if (pdes_ != nullptr) {
-    pdes_->on_schedule(*this, when, target, kind, a, b);
-    return;
-  }
   queue_.push(when - now_, make_key(when, next_seq_++), Payload{&target, kind, a, b});
   note_queued();
 }
@@ -70,9 +64,6 @@ void Engine::call_at(SimTime when, InlineFn fn) {
     free_closure_slots_.pop_back();
   }
   closures_[slot]->arm(std::move(fn), slot);
-  // Closures belong to this engine, so in a parallel cell they execute in
-  // this engine's domain; stamping keeps pdes routing self-directed.
-  closures_[slot]->set_pdes_domain(pdes_domain_id_);
   ++live_closures_;
   schedule_at(when, *closures_[slot], 0);
 }
@@ -380,7 +371,6 @@ void Engine::dispatch(const Entry& entry) {
   const SimTime when = key_when(entry.key);
   now_ = when;
   ++executed_;
-  cur_seq_ = key_seq(entry.key);
   ++stats_.executed_by_kind[EngineStats::slot(entry.load.kind)];
   const Event event{when,         key_seq(entry.key), entry.load.target,
                     entry.load.kind, entry.load.a,    entry.load.b};
@@ -438,9 +428,6 @@ void Engine::reset() {
   has_wall_deadline_ = false;
   deadline_stride_ = 0;
   stats_ = EngineStats{};
-  cur_seq_ = 0;
-  pdes_ = nullptr;
-  pdes_domain_id_ = 0;
 }
 
 void Engine::reserve(std::size_t events, std::size_t closures) {

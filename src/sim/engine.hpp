@@ -14,8 +14,6 @@
 
 namespace dfly {
 
-class PdesCell;
-
 /// Cheap per-event-kind schedule/execute counters (Engine::stats()). Kinds
 /// 0..15 get their own slot; anything larger lands in the overflow slot so a
 /// stray kind cannot index out of bounds. The counters cost one array
@@ -70,8 +68,7 @@ class WallDeadlineExceeded : public std::runtime_error {
 /// heap, yields the next event, so pop order is exactly the (when, seq)
 /// order of a single heap while the common schedule/pop touches one lane and
 /// a sub-KB lane heap instead of sifting a heap ~20k events deep. Delays
-/// that find no free lane, and events pushed with a caller-chosen seq (the
-/// parallel-cell path), use the overflow heap.
+/// that find no free lane use the overflow heap.
 ///
 /// Thread-safety: none — an Engine, like every component scheduled on it,
 /// belongs to exactly one simulation cell. Parallel sweeps (SubmissionQueue)
@@ -95,11 +92,6 @@ class Engine {
   SimTime now() const { return now_; }
 
   /// Schedule `target->handle` at absolute time `when` (>= now).
-  ///
-  /// When this engine is one domain of a group-partitioned parallel cell
-  /// (src/sim/pdes.hpp), the call is routed through the cell so cross-domain
-  /// events land in the creating domain's emission log instead of a foreign
-  /// queue; the sequential path pays one predicted-not-taken branch.
   void schedule_at(SimTime when, Component& target, std::uint32_t kind,
                    std::uint64_t a = 0, std::uint64_t b = 0);
 
@@ -192,10 +184,6 @@ class Engine {
   /// reset(). Observability only — never part of a simulation report.
   const EngineStats& stats() const { return stats_; }
 
-  /// Domain index of this engine inside a parallel cell (0 when sequential
-  /// or when this engine is the cell's first domain).
-  std::int32_t pdes_domain_id() const { return pdes_domain_id_; }
-
   /// High-water mark of concurrently-queued events since construction or the
   /// last reset() (sizes the next cell's reserve carry-forward).
   std::size_t peak_queued() const { return peak_queued_; }
@@ -264,8 +252,7 @@ class Engine {
     /// Queue an event `delay` after the current time: onto its delay's lane,
     /// or the overflow heap when every lane is busy with another delay.
     void push(SimTime delay, HeapKey key, const Payload& load);
-    /// Queue an event on the overflow heap (keys that need not follow the
-    /// lane invariant, e.g. caller-chosen seqs).
+    /// Queue an event on the overflow heap.
     void push_heap(HeapKey key, const Payload& load);
     /// Remove and return the next event; the queue must not be empty.
     Entry pop_front();
@@ -355,31 +342,6 @@ class Engine {
   }
   void release_closure(std::uint32_t slot);
 
-  /// Parallel-cell hooks (PdesCell only). push_raw inserts an event with a
-  /// caller-chosen sequence number, bypassing both next_seq_ and the pdes
-  /// routing in schedule_at — the cell uses it to deliver barrier-merged
-  /// events with their canonical global seq. attach_pdes/detach_pdes bind
-  /// this engine to a cell as domain `domain_id`.
-  void push_raw(SimTime when, std::uint64_t seq, Component& target,
-                std::uint32_t kind, std::uint64_t a, std::uint64_t b) {
-    queue_.push_heap(make_key(when, seq), Payload{&target, kind, a, b});
-    note_queued();
-  }
-  void attach_pdes(PdesCell* cell, std::int32_t domain_id) {
-    pdes_ = cell;
-    pdes_domain_id_ = domain_id;
-  }
-  void detach_pdes() {
-    pdes_ = nullptr;
-    pdes_domain_id_ = 0;
-  }
-  /// Seq of the event currently being dispatched (the would-be creator seq
-  /// for anything its handler schedules).
-  std::uint64_t cur_seq() const { return cur_seq_; }
-
-  friend class PdesCell;
-  friend class PdesRunner;
-
   /// One-per-event watchdog probe: counts down kDeadlineStride events, then
   /// reads the real clock and throws WallDeadlineExceeded when it has passed
   /// the armed deadline. The countdown starts at 0 so the very first event
@@ -403,11 +365,6 @@ class Engine {
   std::uint64_t executed_{0};
   std::size_t peak_queued_{0};
   EngineStats stats_;
-  // Parallel-cell binding: when pdes_ is set, schedule_at routes through the
-  // cell (src/sim/pdes.hpp) instead of queueing the event locally.
-  PdesCell* pdes_{nullptr};
-  std::int32_t pdes_domain_id_{0};
-  std::uint64_t cur_seq_{0};  ///< seq of the event currently dispatching
   // Cooperative wall-clock watchdog (see set_wall_deadline()).
   std::chrono::steady_clock::time_point wall_deadline_{};
   std::uint32_t deadline_stride_{0};

@@ -34,16 +34,6 @@ class Component {
   virtual ~Component() = default;
 
   virtual void handle(Engine& engine, const Event& event) = 0;
-
-  /// Partition domain this component executes in under the optional
-  /// group-partitioned parallel engine (src/sim/pdes.hpp). Always 0 in
-  /// sequential runs; stamped during wiring when --cell-threads is active so
-  /// schedule_at can route events to the owning domain's heap.
-  std::int32_t pdes_domain() const { return pdes_domain_; }
-  void set_pdes_domain(std::int32_t domain) { pdes_domain_ = domain; }
-
- private:
-  std::int32_t pdes_domain_{0};
 };
 
 }  // namespace dfly

@@ -50,12 +50,6 @@ double Histogram::stddev() const {
   return std::sqrt(acc / static_cast<double>(samples_.size()));
 }
 
-void Histogram::merge(const Histogram& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sum_ += other.sum_;
-  sorted_ = samples_.size() <= 1;
-}
-
 void Histogram::clear() {
   samples_.clear();
   sum_ = 0;

@@ -40,7 +40,6 @@ class Histogram {
   /// Population standard deviation.
   double stddev() const;
 
-  void merge(const Histogram& other);
   void clear();
 
   /// Read-only access for custom reductions (sorted ascending).

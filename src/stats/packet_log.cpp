@@ -32,16 +32,6 @@ void PacketLog::record(const PacketRecord& record) {
   if (keep_records_) records_.push_back(record);
 }
 
-void PacketLog::merge_from(const PacketLog& other) {
-  for (std::size_t app = 0; app < per_app_lat_.size(); ++app) {
-    per_app_lat_[app].merge(other.per_app_lat_[app]);
-    per_app_bytes_[app].merge_from(other.per_app_bytes_[app]);
-    per_app_count_[app] += other.per_app_count_[app];
-    per_app_nonmin_[app] += other.per_app_nonmin_[app];
-    per_app_hops_[app] += other.per_app_hops_[app];
-  }
-}
-
 double PacketLog::system_latency_mean() const {
   // The same division Histogram::mean does on one histogram of every sample:
   // integer sums are exact in any order.

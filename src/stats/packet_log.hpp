@@ -43,14 +43,6 @@ class PacketLog {
 
   void record(const PacketRecord& record);
 
-  /// Accumulate another log with the same shape (app count / bucket width)
-  /// into this one. Used to fold a parallel cell's per-domain shards back
-  /// into the cell log (Network::finalize_pdes): every merged statistic is a
-  /// sum or a sample multiset, so the result is independent of shard order
-  /// and identical to sequential recording. Kept records are not merged —
-  /// record-keeping cells run sequentially.
-  void merge_from(const PacketLog& other);
-
   /// Latency = eject - wire (network time: source-router queueing onward).
   const Histogram& latency(int app_id) const { return per_app_lat_[static_cast<std::size_t>(app_id)]; }
 

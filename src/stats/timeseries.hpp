@@ -30,7 +30,7 @@ class TimeSeries {
   /// Element-wise accumulate another series with the same bucket width
   /// (extending to its length). Bucket values are integer-valued doubles far
   /// below 2^53 (byte counts), so the addition is exact and order-independent
-  /// — parallel-cell shard merging (src/sim/pdes.hpp) relies on this.
+  /// — PacketLog::system_delivered() sums the per-app series with it.
   void merge_from(const TimeSeries& other) {
     if (other.buckets_.size() > buckets_.size()) buckets_.resize(other.buckets_.size(), 0.0);
     for (std::size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];

@@ -77,7 +77,7 @@ constexpr std::size_t field_count() {
   }
 }
 
-static_assert(field_count<StudyConfig>() == 14,
+static_assert(field_count<StudyConfig>() == 13,
               "StudyConfig changed: classify the new field as shape or non-shape in "
               "PerturbationSweepCoversEveryField (tests/core/test_blueprint.cpp); if it is "
               "shape, add it to BlueprintKey, BlueprintKey::of() and BlueprintKey::hash()");
@@ -167,7 +167,6 @@ TEST(BlueprintKey, PerturbationSweepCoversEveryField) {
       {"observability", [](StudyConfig& c) { c.observability.keep_packet_records = true; }},
       {"time_limit", [](StudyConfig& c) { c.time_limit = kSec; }},
       {"wall_limit_s", [](StudyConfig& c) { c.wall_limit_s = 5.0; }},
-      {"cell_threads", [](StudyConfig& c) { c.cell_threads = 2; }},
   };
   ASSERT_EQ(shape.size() + non_shape.size(), field_count<StudyConfig>())
       << "every StudyConfig field must appear in exactly one perturbation list";

@@ -736,6 +736,25 @@ TEST(PlanFromConfig, ErrorsNameTheOffendingLine) {
                std::invalid_argument);
 }
 
+TEST(PlanFromConfig, RemovedCellThreadsKeyIsRejectedByName) {
+  // The intra-cell parallel engine is gone, and its cell_threads key with it:
+  // a plan that still sets the key, in the file or through a --set override
+  // (ConfigFile::set, as the CLI and the daemon apply them), fails naming it.
+  const auto expect_rejected = [](const ConfigFile& file) {
+    try {
+      plan_from_config(file);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown key 'cell_threads'"), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected(ConfigFile::parse("plan.mode = single\nplan.jobs = UR\ncell_threads = 2\n"));
+  ConfigFile overridden = ConfigFile::parse("plan.mode = single\nplan.jobs = UR\n");
+  overridden.set("cell_threads", "2");
+  expect_rejected(overridden);
+}
+
 TEST(PlanFromConfig, InvalidNetConfigFailsItsCellNotTheProcess) {
   // net.num_vcs = 0 used to abort the whole process from inside the router;
   // NetConfig validation turns it into an ordinary, non-retried cell failure

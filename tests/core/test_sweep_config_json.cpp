@@ -250,6 +250,22 @@ TEST(ApplyConfig, UnknownKeyThrows) {
   }
 }
 
+TEST(ApplyConfig, ScaleBelowOneIsRejectedNamingTheKey) {
+  // Workloads clamp an iteration divisor below 1 to 1, so `scale = 0` used to
+  // run at paper volume while the report recorded 0.
+  for (const char* text : {"scale = 0\n", "scale = -1\n"}) {
+    try {
+      apply_config(StudyConfig{}, ConfigFile::parse(text));
+      FAIL() << "expected invalid_argument for " << text;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("'scale' must be >= 1"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(apply_config(StudyConfig{}, ConfigFile::parse("scale = 1\n")).scale, 1);
+}
+
 // The full parse -> apply -> re-emit -> parse loop, for EVERY accepted key:
 // a StudyConfig with no field left at its default must survive the trip with
 // every key byte-equal. apply_config and config_to_file walk one shared key

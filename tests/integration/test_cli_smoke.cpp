@@ -76,6 +76,52 @@ TEST(CliSmoke, UnknownAppFailsFastWithOneCleanLine) {
   std::remove(err_path.c_str());
 }
 
+TEST(CliSmoke, InvalidIntegerFlagsFailNamingTheFlag) {
+  // A scale below 1 used to run at paper volume (workloads clamp the
+  // divisor), a negative node count silently filled the machine, and junk
+  // printed only "dflysim: stoi". Each is now one line naming the flag, at
+  // parse time.
+  const std::string err_path = temp_json_path() + ".int_stderr";
+  const struct {
+    const char* args;
+    const char* message;
+  } cases[] = {
+      {"--app=UR:16 --scale=0", "--scale wants an integer >= 1, got '0'"},
+      {"--app=UR:16 --scale=-1", "--scale wants an integer >= 1, got '-1'"},
+      {"--app=UR:16 --scale=8x", "--scale wants an integer >= 1, got '8x'"},
+      {"--app=UR:-4 --scale=64", "--app wants an integer >= 0, got '-4'"},
+      {"--app=UR:abc --scale=64", "--app wants an integer >= 0, got 'abc'"},
+      {"--app=UR:16 --scale=64 --jobs=abc", "--jobs wants an integer >= 0, got 'abc'"},
+      {"--app=UR:16 --scale=64 --sweep=0", "--sweep wants an integer >= 1, got '0'"},
+      {"--app=UR:16 --scale=64 --seed=-3", "--seed wants an integer >= 0, got '-3'"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_cli(std::string(c.args) + " > /dev/null 2> " + err_path), 1) << c.args;
+    const std::string err = slurp(err_path);
+    EXPECT_NE(err.find(c.message), std::string::npos) << c.args << ": " << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+  // A config file's scale goes through the same check, naming the key.
+  const std::string config_path = temp_json_path() + ".scale0.cfg";
+  {
+    std::ofstream out(config_path);
+    out << "scale = 0\n";
+  }
+  EXPECT_EQ(run_cli("--config=" + config_path + " --app=UR:16 > /dev/null 2> " + err_path), 1);
+  const std::string err = slurp(err_path);
+  EXPECT_NE(err.find("'scale' must be >= 1"), std::string::npos) << err;
+  std::remove(config_path.c_str());
+  std::remove(err_path.c_str());
+}
+
+TEST(CliSmoke, RemovedCellThreadsFlagIsAnUnknownOption) {
+  const std::string err_path = temp_json_path() + ".ct_stderr";
+  EXPECT_EQ(run_cli("--app=UR:16 --scale=64 --cell-threads=2 > /dev/null 2> " + err_path), 1);
+  const std::string err = slurp(err_path);
+  EXPECT_NE(err.find("unknown option: --cell-threads=2"), std::string::npos) << err;
+  std::remove(err_path.c_str());
+}
+
 TEST(CliSmoke, QuickstartRunWritesJsonReport) {
   const std::string json_path = temp_json_path();
   std::remove(json_path.c_str());

@@ -41,15 +41,6 @@ TEST(Histogram, PercentileBoundaries) {
   EXPECT_EQ(h.median(), 7);
 }
 
-TEST(Histogram, MergeCombinesSamples) {
-  Histogram a, b;
-  for (int i = 1; i <= 50; ++i) a.add(i);
-  for (int i = 51; i <= 100; ++i) b.add(i);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 100u);
-  EXPECT_EQ(a.median(), 50);
-}
-
 TEST(Histogram, StddevOfConstantIsZero) {
   Histogram h;
   for (int i = 0; i < 10; ++i) h.add(42);
@@ -121,7 +112,7 @@ TEST(PacketLog, RecordsPerAppAndSystem) {
 
 // The system-wide statistics are derived from the per-app stores. The oracle
 // is one Histogram and one TimeSeries fed every sample: the derived values
-// must equal it exactly, also after a shard merge and a reset to fewer apps.
+// must equal it exactly, also after a reset to fewer apps.
 class SystemStats {
  public:
   explicit SystemStats(int num_apps, SimTime bucket_width)
@@ -136,12 +127,6 @@ class SystemStats {
     log_.record(r);
     latency_.add(eject - wire);
     series_.add(eject, static_cast<double>(bytes));
-  }
-
-  void merge_from(const SystemStats& other) {
-    log_.merge_from(other.log_);
-    latency_.merge(other.latency_);
-    series_.merge_from(other.series_);
   }
 
   void reset(int num_apps, SimTime bucket_width) {
@@ -192,13 +177,11 @@ TEST(PacketLog, SystemStatsDeriveFromPerAppStores) {
   EXPECT_EQ(stats.log().delivered_packets(2), 0u);
   stats.expect_matches_oracle();
 
-  // Two shards of the same shape fold into one log.
-  SystemStats shard(3, 10);
+  // App 2 starts receiving, and app 0's series grows past the others.
   for (int i = 0; i < 25; ++i) {
-    shard.record(2, 0, 90 + (i % 4) * 30, 128);
-    shard.record(0, 400, 400 + 110 + i, 32);
+    stats.record(2, 0, 90 + (i % 4) * 30, 128);
+    stats.record(0, 400, 400 + 110 + i, 32);
   }
-  stats.merge_from(shard);
   stats.expect_matches_oracle();
 
   // A reset to fewer apps and a new bucket width forgets every sample.

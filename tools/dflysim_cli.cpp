@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -81,7 +82,6 @@ struct CliOptions {
   std::string trace_path;
   int sweep{1};
   int jobs{0};  ///< sweep/plan worker threads; 0 = DFSIM_JOBS, else sequential
-  int cell_threads{0};  ///< intra-cell threads; 0 = DFSIM_CELL_THREADS, else 1
   // Campaign mode (core/plan.hpp):
   std::string plan_path;                                    ///< --plan=FILE
   std::vector<std::pair<std::string, std::string>> sets;    ///< --set=KEY=VALUE
@@ -149,11 +149,6 @@ struct CliOptions {
       "  --jobs=N             worker threads for --sweep cells (default: the\n"
       "                       DFSIM_JOBS env var, else 1; output is identical\n"
       "                       for any N)\n"
-      "  --cell-threads=N     threads *inside* each cell: partition the groups\n"
-      "                       across N domain engines (default: the\n"
-      "                       DFSIM_CELL_THREADS env var, else 1; output is\n"
-      "                       byte-identical for any N; ineligible cells fall\n"
-      "                       back to sequential; total threads ~ jobs x N)\n"
       "  --no-arena           rebuild every sweep cell from scratch instead of\n"
       "                       reusing per-worker arena storage (DFSIM_NO_ARENA\n"
       "                       does the same; output is identical either way)\n"
@@ -176,11 +171,27 @@ struct CliOptions {
   std::exit(code);
 }
 
+/// `text` as a whole decimal integer of at least `min` for `flag`. Anything
+/// else — junk, a trailing suffix, overflow, a value below `min` — throws one
+/// line naming the flag, so a typo never runs a different experiment than the
+/// one asked for.
+template <typename T>
+T int_flag(const char* flag, const std::string& text, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min) {
+    throw std::invalid_argument(std::string(flag) + " wants an integer >= " +
+                                std::to_string(min) + ", got '" + text + "'");
+  }
+  return value;
+}
+
 AppSpec parse_app(const std::string& value) {
   const auto colon = value.find(':');
   AppSpec spec;
   spec.name = value.substr(0, colon);
-  if (colon != std::string::npos) spec.nodes = std::stoi(value.substr(colon + 1));
+  if (colon != std::string::npos) spec.nodes = int_flag("--app", value.substr(colon + 1), 0);
   if (spec.name.empty()) throw std::invalid_argument("--app needs NAME[:NODES]");
   // Fail fast on a typo'd name — one clean line and exit 1, instead of
   // throwing out of make_app after the network has been built.
@@ -237,19 +248,15 @@ CliOptions parse_cli(int argc, char** argv) {
       options.config.topo.arrangement = arrangement_from_string(value_of(arg));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       single_run("--seed");
-      options.config.seed = std::stoull(value_of(arg));
+      options.config.seed = int_flag<std::uint64_t>("--seed", value_of(arg), 0);
     } else if (std::strncmp(arg, "--scale=", 8) == 0) {
       single_run("--scale");
-      options.config.scale = std::stoi(value_of(arg));
+      options.config.scale = int_flag("--scale", value_of(arg), 1);
     } else if (std::strncmp(arg, "--sweep=", 8) == 0) {
       single_run("--sweep");
-      options.sweep = std::stoi(value_of(arg));
+      options.sweep = int_flag("--sweep", value_of(arg), 1);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      options.jobs = std::stoi(value_of(arg));
-      if (options.jobs < 0) options.jobs = 0;  // 0 = auto (DFSIM_JOBS, else 1)
-    } else if (std::strncmp(arg, "--cell-threads=", 15) == 0) {
-      options.cell_threads = std::stoi(value_of(arg));
-      if (options.cell_threads < 0) options.cell_threads = 0;  // 0 = auto
+      options.jobs = int_flag("--jobs", value_of(arg), 0);  // 0 = DFSIM_JOBS, else 1
     } else if (std::strcmp(arg, "--no-arena") == 0) {
       set_arena_enabled(false);
     } else if (std::strcmp(arg, "--no-blueprint") == 0) {
@@ -301,7 +308,7 @@ CliOptions parse_cli(int argc, char** argv) {
       const std::string value = value_of(arg);
       const auto colon = value.find(':');
       if (colon == std::string::npos) throw std::invalid_argument("--trace needs APP:FILE");
-      options.trace_app = std::stoi(value.substr(0, colon));
+      options.trace_app = int_flag("--trace", value.substr(0, colon), 0);
       options.trace_path = value.substr(colon + 1);
     } else {
       std::fprintf(stderr, "unknown option: %s\n\n", arg);
@@ -428,7 +435,6 @@ CliOptions parse_cli(int argc, char** argv) {
 Report run_once(const CliOptions& options, std::uint64_t seed, bool side_outputs) {
   StudyConfig config = options.config;
   config.seed = seed;
-  if (config.cell_threads == 0) config.cell_threads = options.cell_threads;
   Study study(std::move(config));
   for (const AppSpec& spec : options.apps) study.add_app(spec.name, spec.nodes);
   if (side_outputs && options.trace_app >= 0) study.record_trace(options.trace_app);
@@ -499,7 +505,6 @@ int run_campaign(const CliOptions& options) {
 
   RunPlanOptions run_options;
   run_options.jobs = options.jobs;
-  run_options.cell_threads = options.cell_threads;
   if (!options.shard.empty()) run_options.shard = parse_shard(options.shard);
 
   // Journal / resume (docs/ROBUSTNESS.md). Order matters: recover the

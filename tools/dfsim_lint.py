@@ -50,11 +50,7 @@ from pathlib import Path
 # say why the invariant still holds (setup-phase only, watchdog, metadata...).
 # --------------------------------------------------------------------------
 
-ALLOW_ALLOC_CHURN = {
-    "src/sim/pdes.hpp": "std::deque gives domains 1..D-1 stable Engine/PacketLog "
-    "addresses; grown once during cell setup, never during the event loop",
-    "src/sim/pdes.cpp": "same setup-phase deques as pdes.hpp (merge only walks them)",
-}
+ALLOW_ALLOC_CHURN: dict[str, str] = {}
 
 ALLOW_DET_CLOCK = {
     "src/sim/engine.hpp": "the cooperative wall-clock watchdog is the one sanctioned "
