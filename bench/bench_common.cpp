@@ -1,10 +1,8 @@
 #include "bench_common.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
-#include "core/arena.hpp"
-#include "core/blueprint.hpp"
+#include "core/config_file.hpp"
 
 namespace dfly::bench {
 
@@ -27,52 +25,44 @@ Options Options::parse(int argc, char** argv, int default_scale, Caps caps) {
       std::exit(2);
     }
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      options.scale = std::atoi(arg.c_str() + 8);
-      if (options.scale < 1) options.scale = 1;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = static_cast<std::uint64_t>(std::atoll(arg.c_str() + 7));
-    } else if (arg.rfind("--routing=", 0) == 0) {
-      options.routing = arg.substr(10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      reject_unsupported("--jobs", caps.jobs);
-      const char* value = arg.c_str() + 7;
-      char* end = nullptr;
-      const long jobs = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || jobs < 0) {
-        std::fprintf(stderr, "--jobs needs a non-negative integer (0 = auto)\n");
+  // Integer flags go through int_flag: junk or an out-of-range value is a
+  // usage error naming the flag, never a silent fallback to another scale.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--scale=", 0) == 0) {
+        options.scale = int_flag("--scale", arg.substr(8), 1);
+      } else if (arg.rfind("--seed=", 0) == 0) {
+        options.seed = int_flag<std::uint64_t>("--seed", arg.substr(7), 0);
+      } else if (arg.rfind("--routing=", 0) == 0) {
+        options.routing = arg.substr(10);
+      } else if (arg.rfind("--jobs=", 0) == 0) {
+        reject_unsupported("--jobs", caps.jobs);
+        options.jobs = int_flag("--jobs", arg.substr(7), 0);  // 0 = DFSIM_JOBS, else all cores
+      } else if (arg.rfind("--json=", 0) == 0) {
+        reject_unsupported("--json", caps.json);
+        options.json_path = arg.substr(7);
+      } else if (arg == "--full") {
+        options.scale = 1;
+      } else if (arg == "--quick") {
+        options.scale = 32;
+      } else if (arg == "--smoke") {
+        reject_unsupported("--smoke", caps.smoke);
+        options.smoke = true;
+        options.scale = 64;
+      } else if (arg == "--help" || arg == "-h") {
+        std::printf("options: --scale=N --seed=N --routing=NAME --full --quick%s%s%s\n",
+                    caps.jobs ? " --jobs=N" : "", caps.json ? " --json=FILE" : "",
+                    caps.smoke ? " --smoke" : "");
+        std::exit(0);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
         std::exit(2);
       }
-      options.jobs = static_cast<int>(jobs);  // 0 = DFSIM_JOBS, else all cores
-    } else if (arg.rfind("--json=", 0) == 0) {
-      reject_unsupported("--json", caps.json);
-      options.json_path = arg.substr(7);
-    } else if (arg == "--no-arena") {
-      options.no_arena = true;
-      set_arena_enabled(false);
-    } else if (arg == "--no-blueprint") {
-      options.no_blueprint = true;
-      set_blueprint_enabled(false);
-    } else if (arg == "--full") {
-      options.scale = 1;
-    } else if (arg == "--quick") {
-      options.scale = 32;
-    } else if (arg == "--smoke") {
-      reject_unsupported("--smoke", caps.smoke);
-      options.smoke = true;
-      options.scale = 64;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("options: --scale=N --seed=N --routing=NAME --no-arena --no-blueprint "
-                  "--full --quick%s%s%s\n",
-                  caps.jobs ? " --jobs=N" : "", caps.json ? " --json=FILE" : "",
-                  caps.smoke ? " --smoke" : "");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      std::exit(2);
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    std::exit(2);
   }
   set_default_jobs(options.jobs);
   return options;

@@ -47,11 +47,6 @@ std::vector<T> parallel_map(const std::vector<std::function<T()>>& tasks, int th
 ///   --jobs=N         worker threads for independent cells (default:
 ///                    DFSIM_JOBS, else all cores, memory-capped — see
 ///                    memory_jobs_cap)
-///   --no-arena       disable per-worker arena storage reuse (cells rebuild
-///                    from scratch; output is identical either way)
-///   --no-blueprint   disable cross-cell sharing of the immutable
-///                    SystemBlueprint (cells build private plans; output is
-///                    identical either way)
 ///   --json=FILE      also write the bench's machine-readable report
 ///   --full           shorthand for --scale=1
 ///   --quick          shorthand for --scale=32
@@ -78,8 +73,6 @@ struct Options {
   int jobs{0};            ///< 0 = DFSIM_JOBS, else all cores (memory-capped)
   std::string json_path;  ///< empty = console table only
   bool smoke{false};      ///< benches shrink their sweep to a representative cell or two
-  bool no_arena{false};   ///< --no-arena seen (set_arena_enabled(false) already applied)
-  bool no_blueprint{false};  ///< --no-blueprint seen (set_blueprint_enabled(false) applied)
 
   /// `default_scale` lets heavy benches (the 168-cell Fig 4 sweep) default
   /// to a coarser scale so the whole suite completes in minutes; --scale

@@ -175,23 +175,6 @@ int run(int argc, char** argv) {
   caps.jobs = false;  // cells run sequentially so per-cell numbers are clean
   const Options options = Options::parse(argc, argv, /*default_scale=*/16, caps);
 
-  // This bench measures arena-on vs arena-off itself, so the global toggle
-  // must not silently turn the "arena" phase into a second fresh phase
-  // (--no-arena or DFSIM_NO_ARENA would otherwise produce a no-op
-  // comparison that still exits 0).
-  if (options.no_arena || !arena_enabled()) {
-    std::fprintf(stderr,
-                 "bench_memory: ignoring --no-arena/DFSIM_NO_ARENA — this bench "
-                 "compares both modes itself\n");
-  }
-  set_arena_enabled(true);
-  if (options.no_blueprint || !blueprint_enabled()) {
-    std::fprintf(stderr,
-                 "bench_memory: ignoring --no-blueprint/DFSIM_NO_BLUEPRINT — this bench "
-                 "compares shared vs unshared itself\n");
-  }
-  set_blueprint_enabled(true);
-
   const std::string routing = options.routing.empty() ? "PAR" : options.routing;
   StudyConfig base = options.config(routing);
   std::string app = "FFT3D";

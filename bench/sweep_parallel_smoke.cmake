@@ -1,9 +1,8 @@
-# CTest script: run the same multi-seed sweep with --jobs=1, --jobs=4,
-# --jobs=4 --no-arena and --jobs={1,4} --no-blueprint and require
-# byte-identical JSON reports — worker count, per-worker arena storage reuse
-# and cross-cell SystemBlueprint sharing must all be invisible in the output.
-# Invoked by the sweep_parallel_smoke test with -DDFLYSIM=<binary>
-# -DWORK_DIR=<build dir>.
+# CTest script: run the same multi-seed sweep with --jobs=1 and --jobs=4 and
+# require byte-identical JSON reports — worker count, per-worker arena
+# storage reuse and cross-cell SystemBlueprint sharing must all be invisible
+# in the output. Invoked by the sweep_parallel_smoke test with
+# -DDFLYSIM=<binary> -DWORK_DIR=<build dir>.
 set(ARGS --app=UR:64 --scale=64 --seed=42 --sweep=4)
 
 execute_process(
@@ -21,29 +20,6 @@ if(NOT PAR_RESULT EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=4 --no-arena --json=${WORK_DIR}/sweep_noarena.json
-  RESULT_VARIABLE NOARENA_RESULT OUTPUT_QUIET)
-if(NOT NOARENA_RESULT EQUAL 0)
-  message(FATAL_ERROR "--no-arena sweep failed with exit code ${NOARENA_RESULT}")
-endif()
-
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=1 --no-blueprint
-          --json=${WORK_DIR}/sweep_nobp_seq.json
-  RESULT_VARIABLE NOBP_SEQ_RESULT OUTPUT_QUIET)
-if(NOT NOBP_SEQ_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=1 --no-blueprint sweep failed with exit code ${NOBP_SEQ_RESULT}")
-endif()
-
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=4 --no-blueprint
-          --json=${WORK_DIR}/sweep_nobp_par.json
-  RESULT_VARIABLE NOBP_PAR_RESULT OUTPUT_QUIET)
-if(NOT NOBP_PAR_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=4 --no-blueprint sweep failed with exit code ${NOBP_PAR_RESULT}")
-endif()
-
-execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_par.json
   RESULT_VARIABLE DIFF_RESULT)
@@ -51,32 +27,4 @@ if(NOT DIFF_RESULT EQUAL 0)
   message(FATAL_ERROR "--jobs=4 sweep JSON differs from --jobs=1 (determinism regression)")
 endif()
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_noarena.json
-  RESULT_VARIABLE ARENA_DIFF_RESULT)
-if(NOT ARENA_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--no-arena sweep JSON differs from the arena-reuse run "
-                      "(arena reuse leaked state across cells)")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_nobp_seq.json
-  RESULT_VARIABLE NOBP_SEQ_DIFF_RESULT)
-if(NOT NOBP_SEQ_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=1 --no-blueprint sweep JSON differs from the shared-blueprint "
-                      "run (blueprint sharing changed the output)")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_nobp_par.json
-  RESULT_VARIABLE NOBP_PAR_DIFF_RESULT)
-if(NOT NOBP_PAR_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=4 --no-blueprint sweep JSON differs from the shared-blueprint "
-                      "run (blueprint sharing changed the output)")
-endif()
-
-message(STATUS "jobs=1, jobs=4, jobs=4 --no-arena and jobs={1,4} --no-blueprint "
-               "sweep reports are byte-identical")
+message(STATUS "jobs=1 and jobs=4 sweep reports are byte-identical")

@@ -1,7 +1,5 @@
 #include "core/arena.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
 namespace dfly {
@@ -10,35 +8,12 @@ namespace {
 
 thread_local SimArena* t_current_arena = nullptr;
 
-/// -1 = not resolved yet, 0 = disabled, 1 = enabled. Resolved lazily from
-/// DFSIM_NO_ARENA so tests and the CLI can override either way first.
-std::atomic<int> g_arena_enabled{-1};
-
-int resolve_arena_enabled() {
-  const char* env = std::getenv("DFSIM_NO_ARENA");
-  const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return disabled ? 0 : 1;
-}
-
 template <typename T>
 void track_peak(std::size_t& peak, T value) {
   if (static_cast<std::size_t>(value) > peak) peak = static_cast<std::size_t>(value);
 }
 
 }  // namespace
-
-bool arena_enabled() {
-  int state = g_arena_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = resolve_arena_enabled();
-    g_arena_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
-
-void set_arena_enabled(bool enabled) {
-  g_arena_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 SimArena* SimArena::current() { return t_current_arena; }
 

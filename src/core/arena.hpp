@@ -30,10 +30,9 @@
 /// Reuse is behaviour-preserving by construction: every reset path restores
 /// the exact observable state of a fresh object (pool slot ids are handed
 /// out 0, 1, 2, ... again; engine clocks and sequence numbers restart at 0),
-/// so sweep output is bit-identical with the arena on or off — the
-/// regression tests byte-compare both. The `--no-arena` CLI flag and the
-/// DFSIM_NO_ARENA environment variable disable reuse globally as an escape
-/// hatch.
+/// so sweep output is bit-identical with or without an arena — the
+/// regression tests byte-compare pool runs against the same cells run on a
+/// thread with no arena bound.
 ///
 /// Thread-safety: none — an arena belongs to exactly one worker thread, like
 /// the cells it backs.
@@ -166,12 +165,5 @@ class ScopedArenaBinding {
   SimArena* previous_;
   mpi::ScopedFramePoolBinding frame_binding_;
 };
-
-/// Global escape hatch: false disables every arena reuse path (Studies build
-/// from scratch as before PR 3). Defaults to true unless the DFSIM_NO_ARENA
-/// environment variable is set to anything but "0". The `--no-arena` flag on
-/// dflysim and the benches calls set_arena_enabled(false).
-bool arena_enabled();
-void set_arena_enabled(bool enabled);
 
 }  // namespace dfly

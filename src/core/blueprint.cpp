@@ -1,8 +1,6 @@
 #include "core/blueprint.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <utility>
@@ -14,16 +12,6 @@ namespace dfly {
 namespace {
 
 thread_local BlueprintCache* t_current_cache = nullptr;
-
-/// -1 = not resolved yet, 0 = disabled, 1 = enabled. Resolved lazily from
-/// DFSIM_NO_BLUEPRINT so tests and the CLI can override either way first.
-std::atomic<int> g_blueprint_enabled{-1};
-
-int resolve_blueprint_enabled() {
-  const char* env = std::getenv("DFSIM_NO_BLUEPRINT");
-  const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return disabled ? 0 : 1;
-}
 
 /// FNV-1a over a stream of explicitly-fed values (never over raw struct
 /// bytes: padding would make equal keys hash differently).
@@ -50,19 +38,6 @@ struct KeyHasher {
 };
 
 }  // namespace
-
-bool blueprint_enabled() {
-  int state = g_blueprint_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = resolve_blueprint_enabled();
-    g_blueprint_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
-
-void set_blueprint_enabled(bool enabled) {
-  g_blueprint_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 BlueprintKey BlueprintKey::of(const StudyConfig& config) {
   BlueprintKey key;

@@ -43,9 +43,9 @@
 ///
 /// Sharing is behaviour-preserving by construction: a blueprint's content is
 /// a pure function of the shape, so output is byte-identical whether each
-/// cell builds its own copy or many cells share one. The `--no-blueprint`
-/// CLI flag and the DFSIM_NO_BLUEPRINT environment variable disable
-/// cross-cell sharing as an escape hatch (mirroring `--no-arena`).
+/// cell builds its own copy or many cells share one. A Study on a thread
+/// with no cache bound builds a private copy; tests use that as the
+/// reference for the shared path.
 namespace dfly {
 
 struct StudyConfig;
@@ -192,13 +192,5 @@ class ScopedBlueprintCacheBinding {
  private:
   BlueprintCache* previous_;
 };
-
-/// Global escape hatch: false disables cross-cell blueprint sharing (every
-/// Study builds a private plan, as before this refactor). Defaults to true
-/// unless the DFSIM_NO_BLUEPRINT environment variable is set to anything but
-/// "0". The `--no-blueprint` flag on dflysim and the benches calls
-/// set_blueprint_enabled(false). Output is byte-identical either way.
-bool blueprint_enabled();
-void set_blueprint_enabled(bool enabled);
 
 }  // namespace dfly

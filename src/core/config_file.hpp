@@ -1,7 +1,9 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,5 +108,22 @@ StudyConfig apply_config(StudyConfig base, const ConfigFile& file);
 ///   apply_config(StudyConfig{}, ConfigFile::parse(config_to_file(c).emit()))
 /// reproduces `c` for every key (time_limit at millisecond granularity).
 ConfigFile config_to_file(const StudyConfig& config);
+
+/// `text` as a whole decimal integer of at least `min` for command-line
+/// `flag`. Anything else — junk, a trailing suffix, overflow, a value below
+/// `min` — throws std::invalid_argument with one line naming the flag, so a
+/// typo never runs a different experiment than the one asked for. dflysim
+/// and the bench harness parse every integer flag through this.
+template <typename T>
+T int_flag(const char* flag, const std::string& text, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min) {
+    throw std::invalid_argument(std::string(flag) + " wants an integer >= " +
+                                std::to_string(min) + ", got '" + text + "'");
+  }
+  return value;
+}
 
 }  // namespace dfly

@@ -153,8 +153,8 @@ void SubmissionQueue::worker_main(std::size_t id) {
   // distinct cell shape's immutable plan once and every worker reads it.
   // Both are output-neutral (core/arena.hpp, core/blueprint.hpp).
   SimArena arena;
-  ScopedArenaBinding binding(arena_enabled() ? &arena : nullptr);
-  ScopedBlueprintCacheBinding cache_binding(blueprint_enabled() ? cache_.get() : nullptr);
+  ScopedArenaBinding binding(&arena);
+  ScopedBlueprintCacheBinding cache_binding(cache_.get());
   MutexLock lock(mutex_);
   for (;;) {
     // Explicit wait loop (not a predicate lambda) so the thread-safety

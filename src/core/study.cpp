@@ -24,10 +24,8 @@ std::shared_ptr<const SystemBlueprint> resolve_blueprint(
     }
     return explicit_bp;
   }
-  if (blueprint_enabled()) {
-    if (BlueprintCache* cache = BlueprintCache::current()) {
-      return cache->get_or_build(config);
-    }
+  if (BlueprintCache* cache = BlueprintCache::current()) {
+    return cache->get_or_build(config);
   }
   return SystemBlueprint::build(config);
 }
@@ -41,7 +39,7 @@ Study::Study(StudyConfig config, SimArena* arena,
       placer_(blueprint_->topo(), config_.placement, Rng(config_.seed, 0x9 /*placement stream*/),
               &blueprint_->placement_pool()) {
   SimArena* candidate = arena != nullptr ? arena : SimArena::current();
-  if (candidate != nullptr && arena_enabled() && candidate->try_acquire(this)) {
+  if (candidate != nullptr && candidate->try_acquire(this)) {
     arena_ = candidate;
     engine_ = arena_->take_engine();
   }

@@ -118,13 +118,12 @@ struct Report {
 /// `blueprint` argument (must match the config's shape), the thread-bound
 /// BlueprintCache (SubmissionQueue binds one across all workers, so
 /// same-shape cells share one snapshot), else a private build. Sharing never
-/// changes simulation output; --no-blueprint / DFSIM_NO_BLUEPRINT disables
-/// it.
+/// changes simulation output.
 class Study {
  public:
   /// `arena` overrides the thread-bound SimArena::current(); pass nullptr to
   /// use the thread binding (the normal sweep path). Reuse is skipped when
-  /// arena_enabled() is off or the arena is already held. `blueprint`
+  /// no arena is passed or bound, or the arena is already held. `blueprint`
   /// overrides cache resolution; it must have been built from a config with
   /// the same shape (throws std::invalid_argument otherwise).
   explicit Study(StudyConfig config, SimArena* arena = nullptr,

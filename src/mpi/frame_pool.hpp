@@ -19,8 +19,8 @@
 /// ScopedArenaBinding binds it alongside the arena), giving frames the same
 /// lifecycle as the rest of the carried storage: first cell grows the pool
 /// to its high-water mark, later cells recycle, the pool frees everything
-/// when the worker retires. With no pool bound (or --no-arena), frames fall
-/// back to plain operator new/delete.
+/// when the worker retires. With no pool bound, frames fall back to plain
+/// operator new/delete.
 ///
 /// Safety: every block is an individually heap-allocated allocation with a
 /// small header recording its bucket, so a block may be parked in any pool

@@ -64,13 +64,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace dfly {
 namespace {
 
-/// Restores the global arena toggle no matter how a test exits.
-class ArenaToggleGuard {
- public:
-  ArenaToggleGuard() = default;
-  ~ArenaToggleGuard() { set_arena_enabled(true); }
-};
-
 // --- the zero-steady-state-allocation regression -----------------------------
 
 /// Synthetic hot-path component: every event allocates a packet, parks it in
@@ -289,10 +282,10 @@ TEST(ArenaSteadyState, MpiLayerNearZeroAllocationsOnSecondSameShapeCell) {
 // --- dirty-state fuzz --------------------------------------------------------
 
 // Cells of deliberately different sizes, workloads, routings and QoS shapes
-// run back-to-back through ONE arena; every report must match a fresh
-// no-arena run of the same cell. This is the test that catches a missed
-// field in any reinit()/reset() path: state leaking from cell i shows up as
-// a report mismatch in cell i+1.
+// run back-to-back through ONE arena; every report must match a fresh run
+// of the same cell with no arena bound. This is the test that catches a
+// missed field in any reinit()/reset() path: state leaking from cell i shows
+// up as a report mismatch in cell i+1.
 TEST(ArenaReuse, DirtyStateFuzzAcrossDifferentCellShapes) {
   const std::vector<std::string> apps{"UR", "FFT3D", "Halo3D", "CosmoFlow", "LU"};
   const std::vector<std::string> routings{"MIN", "UGALg", "PAR", "Q-adp"};
@@ -372,7 +365,7 @@ Report run_alg_cell(const StudyConfig& config, mpi::coll::AllreduceAlg ar,
 
 // Every collective-algorithm family cycles through ONE arena (varying rank
 // counts, including non-power-of-two fallback paths); each report must match
-// a fresh no-arena run bit-for-bit.
+// a fresh run with no arena bound, bit-for-bit.
 TEST(ArenaReuse, DirtyStateCollectivesFuzzMatchesFreshRuns) {
   using mpi::coll::AllreduceAlg;
   using mpi::coll::AlltoallAlg;
@@ -441,19 +434,6 @@ TEST(SimArena, ThreadBindingIsPickedUpAndRestored) {
     EXPECT_EQ(SimArena::current(), &outer);
   }
   EXPECT_EQ(SimArena::current(), nullptr);
-}
-
-TEST(SimArena, DisabledToggleSkipsReuse) {
-  ArenaToggleGuard guard;
-  SimArena arena;
-  ScopedArenaBinding binding(&arena);
-  set_arena_enabled(false);
-  StudyConfig config = tiny_config("MIN", 11);
-  Study study(config);
-  EXPECT_EQ(study.arena(), nullptr);
-  set_arena_enabled(true);
-  Study reusing(config);
-  EXPECT_EQ(reusing.arena(), &arena);
 }
 
 // --- storage-primitive reuse invariants --------------------------------------

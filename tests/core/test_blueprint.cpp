@@ -25,12 +25,6 @@
 namespace dfly {
 namespace {
 
-/// set_blueprint_enabled is process-global; every test that flips it must
-/// restore the default so later tests see sharing on.
-struct BlueprintToggleGuard {
-  ~BlueprintToggleGuard() { set_blueprint_enabled(true); }
-};
-
 StudyConfig tiny_config(const std::string& routing = "MIN", std::uint64_t seed = 42) {
   StudyConfig config;
   config.topo = DragonflyParams::tiny();
@@ -443,19 +437,6 @@ TEST(StudyBlueprint, ExplicitBlueprintIsUsedVerbatim) {
 TEST(StudyBlueprint, ShapeMismatchThrows) {
   const auto bp = SystemBlueprint::build(tiny_config("MIN"));
   EXPECT_THROW(Study(tiny_config("UGALg"), nullptr, bp), std::invalid_argument);
-}
-
-TEST(StudyBlueprint, DisabledTogglesIgnoreTheBoundCache) {
-  BlueprintToggleGuard guard;
-  BlueprintCache cache;
-  ScopedBlueprintCacheBinding binding(&cache);
-  set_blueprint_enabled(false);
-  Study study(tiny_config());
-  EXPECT_NE(study.blueprint(), nullptr);  // private plan, built anyway
-  EXPECT_EQ(cache.size(), 0u);            // ...without touching the cache
-  set_blueprint_enabled(true);
-  Study cached(tiny_config());
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 // --- output equivalence ------------------------------------------------------

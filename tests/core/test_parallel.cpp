@@ -158,72 +158,71 @@ TEST(SweepParallelDeterminism, FourJobsByteIdenticalToSequential) {
   }
 }
 
-// Arena reuse must be invisible in the output: the same sweep with per-worker
-// storage reuse ON and OFF, and with one or four workers, serialises to the
-// same bytes. A state leak across a worker's cells would break this.
-TEST(SweepParallelDeterminism, ArenaOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() { set_arena_enabled(true); }
-  } guard;
-
-  set_arena_enabled(true);
-  const std::string arena_seq = sweep_json(1);
-  const std::string arena_par = sweep_json(4);
-
-  set_arena_enabled(false);
-  const std::string fresh_seq = sweep_json(1);
-  const std::string fresh_par = sweep_json(4);
-
-  EXPECT_EQ(arena_seq, fresh_seq);
-  EXPECT_EQ(arena_seq, arena_par);
-  EXPECT_EQ(arena_seq, fresh_par);
+// The reference for the determinism tests below: the same cells run one by
+// one on the gtest thread, where no arena or blueprint cache is bound, so
+// every cell builds fresh storage and a private plan. run_plan's workers
+// always bind both; a state leak across a worker's cells, or a shared plan
+// that differs from a private one, shows up as a byte difference.
+void expect_unbound_thread() {
+  EXPECT_EQ(SimArena::current(), nullptr);
+  EXPECT_EQ(BlueprintCache::current(), nullptr);
 }
 
-// Blueprint sharing must be invisible in the output: the same sweep with
-// cross-cell plan sharing ON and OFF, with one or four workers, and in every
-// combination with arena reuse, serialises to the same bytes.
+/// run_sweep's cells run one by one on the calling thread.
+std::string serial_sweep_json() {
+  const SeedSweep sweep(42, 6);
+  std::vector<Report> reports;
+  for (const std::uint64_t seed : sweep.seeds()) reports.push_back(tiny_experiment(seed));
+  return sweep_to_json(SeedSweep::aggregate(reports));
+}
+
+std::string unbound_jsonl(const ExperimentPlan& plan) {
+  expect_unbound_thread();
+  std::string out;
+  for (const PlanCell& cell : plan.expand()) {
+    out += plan_cell_jsonl(cell, run_plan_cell(plan, cell)) + '\n';
+  }
+  return out;
+}
+
+// Arena reuse must be invisible in the output: the sweep on one or four
+// workers, each reusing its arena across cells, serialises to the same bytes
+// as the cells run fresh on this thread — and so does one arena reused
+// across every cell on this thread with no shared plan.
+TEST(SweepParallelDeterminism, ArenaOnAndOffByteIdenticalForAnyWorkerCount) {
+  expect_unbound_thread();
+  const std::string fresh = serial_sweep_json();
+  EXPECT_EQ(sweep_json(1), fresh);
+  EXPECT_EQ(sweep_json(4), fresh);
+
+  SimArena arena;
+  const ScopedArenaBinding binding(&arena);
+  EXPECT_EQ(serial_sweep_json(), fresh);
+  EXPECT_EQ(arena.stats().cells, 6u);
+}
+
+// Blueprint sharing must be invisible in the output: with one or four
+// workers reading the pool's shared plan, the sweep serialises to the same
+// bytes as cells that each build a private plan — and so do fresh cells on
+// this thread that share one cached plan.
 TEST(SweepParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_blueprint_enabled(true);
-      set_arena_enabled(true);
-    }
-  } guard;
+  expect_unbound_thread();
+  const std::string private_plans = serial_sweep_json();
+  EXPECT_EQ(sweep_json(1), private_plans);
+  EXPECT_EQ(sweep_json(4), private_plans);
 
-  set_blueprint_enabled(true);
-  const std::string shared_seq = sweep_json(1);
-  const std::string shared_par = sweep_json(4);
-
-  set_blueprint_enabled(false);
-  const std::string private_seq = sweep_json(1);
-  const std::string private_par = sweep_json(4);
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
-
-  // The orthogonal knobs compose: arena off + blueprint off at four workers
-  // still reproduces the fully-shared bytes.
-  set_arena_enabled(false);
-  EXPECT_EQ(shared_seq, sweep_json(4));
+  BlueprintCache cache;
+  const ScopedBlueprintCacheBinding binding(&cache);
+  EXPECT_EQ(serial_sweep_json(), private_plans);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 5u);
 }
 
 TEST(PairwiseParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() { set_blueprint_enabled(true); }
-  } guard;
   const ExperimentPlan plan = tiny_pairwise_plan();
-
-  set_blueprint_enabled(true);
-  const std::string shared_seq = jsonl_of(plan, 1);
-  const std::string shared_par = jsonl_of(plan, 4);
-  set_blueprint_enabled(false);
-  const std::string private_seq = jsonl_of(plan, 1);
-  const std::string private_par = jsonl_of(plan, 4);
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
+  const std::string private_plans = unbound_jsonl(plan);
+  EXPECT_EQ(jsonl_of(plan, 1), private_plans);
+  EXPECT_EQ(jsonl_of(plan, 4), private_plans);
 }
 
 TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
@@ -231,9 +230,6 @@ TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) 
   // so cap the simulated clock hard: the comparison needs identical bytes,
   // not converged runs, and every truncated cell still exercises the shared
   // plan through build, placement and early traffic.
-  struct ToggleGuard {
-    ~ToggleGuard() { set_blueprint_enabled(true); }
-  } guard;
   ExperimentPlan plan;
   plan.base.topo = DragonflyParams::paper();
   plan.base.routing = "UGALg";
@@ -242,16 +238,9 @@ TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) 
   plan.mode = PlanMode::kMixed;
   plan.mixed_solos = true;
 
-  set_blueprint_enabled(true);
-  const std::string shared_seq = jsonl_of(plan, 1);
-  const std::string shared_par = jsonl_of(plan, 4);
-  set_blueprint_enabled(false);
-  const std::string private_seq = jsonl_of(plan, 1);
-  const std::string private_par = jsonl_of(plan, 4);
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
+  const std::string private_plans = unbound_jsonl(plan);
+  EXPECT_EQ(jsonl_of(plan, 1), private_plans);
+  EXPECT_EQ(jsonl_of(plan, 4), private_plans);
 }
 
 TEST(PairwiseParallelDeterminism, CellBatchMatchesIndividualRuns) {

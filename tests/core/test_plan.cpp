@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/arena.hpp"
-#include "core/blueprint.hpp"
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
 
@@ -286,14 +284,7 @@ TEST(PlanParallelIsolation, ThrowingCellsAreRecordedAndSurvivorsMatchFreshRuns) 
   ASSERT_EQ(sink.failures().size(), 2u);
   EXPECT_EQ(sink.failures()[0].index, 2u);
 
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_arena_enabled(true);
-      set_blueprint_enabled(true);
-    }
-  } guard;
-  set_arena_enabled(false);
-  set_blueprint_enabled(false);
+  // The references run on this thread, where no arena or cache is bound.
   ASSERT_EQ(sink.reports().size(), 6u);
   for (const std::size_t i : {0u, 1u, 3u, 5u}) {
     EXPECT_EQ(report_to_json(sink.reports()[i]),
@@ -598,14 +589,7 @@ TEST(PlanParallelDeterminism, DifferentlyShapedVariantsThroughOneCacheMatchFresh
   CollectSink sink;
   run_plan(plan, sink, 4);
 
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_arena_enabled(true);
-      set_blueprint_enabled(true);
-    }
-  } guard;
-  set_arena_enabled(false);
-  set_blueprint_enabled(false);
+  // The references run on this thread, where no arena or cache is bound.
   for (const PlanCell& cell : sink.cells()) {
     EXPECT_EQ(report_to_json(sink.reports()[cell.index]),
               report_to_json(run_plan_cell(plan, cell)))

@@ -114,11 +114,16 @@ TEST(CliSmoke, InvalidIntegerFlagsFailNamingTheFlag) {
   std::remove(err_path.c_str());
 }
 
+// Flags of deleted mechanisms (the intra-cell parallel engine, the arena and
+// blueprint escape hatches) are ordinary unknown options now.
 TEST(CliSmoke, RemovedCellThreadsFlagIsAnUnknownOption) {
   const std::string err_path = temp_json_path() + ".ct_stderr";
-  EXPECT_EQ(run_cli("--app=UR:16 --scale=64 --cell-threads=2 > /dev/null 2> " + err_path), 1);
-  const std::string err = slurp(err_path);
-  EXPECT_NE(err.find("unknown option: --cell-threads=2"), std::string::npos) << err;
+  for (const std::string flag : {"--cell-threads=2", "--no-arena", "--no-blueprint"}) {
+    EXPECT_EQ(run_cli("--app=UR:16 --scale=64 " + flag + " > /dev/null 2> " + err_path), 1)
+        << flag;
+    const std::string err = slurp(err_path);
+    EXPECT_NE(err.find("unknown option: " + flag), std::string::npos) << err;
+  }
   std::remove(err_path.c_str());
 }
 

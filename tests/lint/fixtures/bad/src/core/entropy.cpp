@@ -11,4 +11,10 @@ int ambient() {
   return std::rand() + static_cast<int>(rd());               // det-rand
 }
 
+// An ambient switch: behaviour that no flag, config key or report records.
+bool reuse_enabled() {
+  const char* off = std::getenv("FIXTURE_NO_REUSE");         // det-env
+  return off == nullptr && secure_getenv("FIXTURE_NO_SHARING") == nullptr;  // det-env
+}
+
 }  // namespace fixture

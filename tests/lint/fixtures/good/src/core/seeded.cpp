@@ -12,8 +12,9 @@ struct Rng {
   }
 };
 
-// "std::rand()" inside a string literal must not fire.
-const char* kDoc = "never call std::rand() or std::chrono::system_clock";
+// "std::rand()" inside a string literal must not fire, nor a comment naming
+// std::getenv("X").
+const char* kDoc = "never call std::rand(), getenv() or std::chrono::system_clock";
 
 // An allow on the line above suppresses a single deliberate use:
 double stamp_ms() {

@@ -34,6 +34,8 @@ EXPECTED_BAD = {
     ("src/core/entropy.cpp", 8, "det-rand"),    # std::random_device
     ("src/core/entropy.cpp", 9, "det-clock"),   # system_clock::now
     ("src/core/entropy.cpp", 11, "det-rand"),   # std::rand
+    ("src/core/entropy.cpp", 16, "det-env"),    # std::getenv
+    ("src/core/entropy.cpp", 17, "det-env"),    # secure_getenv
     ("src/core/pointer_key.hpp", 12, "det-pointer-key"),  # map<Node*, ...>
     ("src/core/pointer_key.hpp", 13, "det-pointer-key"),  # unordered_set<const Node*>
     ("src/core/pointer_key.hpp", 14, "det-pointer-key"),  # std::hash<Node*>

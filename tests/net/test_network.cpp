@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "routing/factory.hpp"
 #include "../support/make_blueprint.hpp"
@@ -70,21 +72,79 @@ TEST(Network, SelfSendBypassesNetwork) {
   EXPECT_EQ(f.net->packet_log().delivered_packets(0), 0u);  // no wire traffic
 }
 
+/// The MIN path from `src` to `dst` node as (router, output port) pairs,
+/// router-to-router hops only. On the tiny system each group pair has one
+/// global link, so the minimal path is unique.
+std::vector<std::pair<int, int>> min_path(const Dragonfly& topo, int src, int dst) {
+  EXPECT_EQ(topo.links_per_group_pair(), 1);
+  std::vector<std::pair<int, int>> hops;
+  const int last = topo.router_of_node(dst);
+  for (int r = topo.router_of_node(src); r != last;) {
+    int port = -1;
+    if (topo.group_of_router(r) == topo.group_of_router(last)) {
+      port = topo.local_port_to(r, topo.local_index(last));
+    } else {
+      const GlobalEndpoint gw =
+          topo.gateways(topo.group_of_router(r), topo.group_of_router(last)).front();
+      port = gw.router == r ? topo.global_port(gw.global_port)
+                            : topo.local_port_to(r, topo.local_index(gw.router));
+    }
+    hops.emplace_back(r, port);
+    r = topo.wire(r, port).peer_router;
+  }
+  return hops;
+}
+
+// Zero-load oracle: one 512 B packet alone in the network under MIN takes
+// exactly the sum of its hop costs (nic.cpp, router.cpp). Injection is
+// serialisation + terminal wire + the first router's pipeline; each
+// router-to-router hop is serialisation + the blueprint's port latency + the
+// next router's pipeline; ejection is serialisation + the terminal port's
+// latency, with no pipeline at the NIC.
 TEST(Network, UnloadedLatencyIsNearTopologyBound) {
-  NetFixture f;
-  // One packet, same group, different router: local hop only.
-  const int src = 0;                        // router 0
-  const int dst = f.topo->params().p * 1;   // router 1, same group
-  f.net->send_message(src, dst, 512, 0);
-  f.engine.run();
-  const auto& log = f.net->packet_log();
-  ASSERT_EQ(log.delivered_packets(0), 1u);
-  // wire->eject: ser(terminal) happens before wire_time? wire_time is set at
-  // NIC transmit start, so latency >= terminal ser + local ser + eject ser.
-  const SimTime latency = log.latency(0).median();
-  const SimTime ser = f.cfg.packet_serialization();
-  EXPECT_GT(latency, 2 * ser);
-  EXPECT_LT(latency, 100 * ser + 10 * f.cfg.router_latency);
+  const NetFixture probe;
+  const Dragonfly& topo = *probe.topo;
+  const int p = topo.params().p;
+  // An inter-group pair whose path needs all three hops: the source router
+  // is not its group's gateway and the destination router is not the peer.
+  int far = -1;
+  for (int g = 1; g < topo.num_groups() && far < 0; ++g) {
+    const GlobalEndpoint gw = topo.gateways(0, g).front();
+    if (gw.router == 0) continue;
+    const int peer = topo.wire(gw.router, topo.global_port(gw.global_port)).peer_router;
+    far = topo.node_id(peer == topo.router_id(g, 0) ? topo.router_id(g, 1) : topo.router_id(g, 0),
+                       0);
+  }
+  ASSERT_GE(far, 0);
+  const struct {
+    const char* name;
+    int dst;
+    std::size_t hops;
+  } cases[] = {
+      {"intra-router", 1, 0},
+      {"intra-group", p * 1, 1},
+      {"inter-group", far, 3},
+  };
+  for (const auto& c : cases) {
+    NetFixture f("MIN");
+    const NetConfig& cfg = f.cfg;
+    const SimTime ser = cfg.serialization(512);
+    const auto path = min_path(*f.topo, 0, c.dst);
+    ASSERT_EQ(path.size(), c.hops) << c.name;
+    SimTime expected = ser + cfg.terminal_latency + cfg.router_latency;
+    for (const auto& [router, port] : path) {
+      expected += ser + f.bp->port(router, port).latency + cfg.router_latency;
+    }
+    const int last = f.topo->router_of_node(c.dst);
+    expected += ser + f.bp->port(last, f.topo->terminal_port_of_node(c.dst)).latency;
+
+    f.net->send_message(0, c.dst, 512, 0);
+    f.engine.run();
+    const auto& records = f.net->packet_log().records();
+    ASSERT_EQ(records.size(), 1u) << c.name;
+    EXPECT_EQ(static_cast<std::size_t>(records[0].hops), c.hops) << c.name;
+    EXPECT_EQ(records[0].eject_time - records[0].wire_time, expected) << c.name;
+  }
 }
 
 TEST(Network, MinimalRoutingTakesAtMostThreeHops) {

@@ -121,7 +121,7 @@ TEST_P(PathTest, PlanBackedOracleAnswersIdentically) {
   // The blueprint-shared PathPlan must be observationally equivalent to the
   // on-demand gateway scans for EVERY router pair — Study cells answer path
   // queries off the shared tables, so any divergence would silently change
-  // simulation behaviour between --no-blueprint and the default.
+  // simulation behaviour between a private plan and the shared one.
   const PathPlan plan = PathPlan::build(topo_);
   const PathOracle fast(topo_, &plan);
   for (int s = 0; s < topo_.num_routers(); ++s) {

@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -44,8 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/arena.hpp"
-#include "core/blueprint.hpp"
 #include "core/config_file.hpp"
 #include "core/journal.hpp"
 #include "core/json_report.hpp"
@@ -149,13 +146,6 @@ struct CliOptions {
       "  --jobs=N             worker threads for --sweep cells (default: the\n"
       "                       DFSIM_JOBS env var, else 1; output is identical\n"
       "                       for any N)\n"
-      "  --no-arena           rebuild every sweep cell from scratch instead of\n"
-      "                       reusing per-worker arena storage (DFSIM_NO_ARENA\n"
-      "                       does the same; output is identical either way)\n"
-      "  --no-blueprint       build a private topology/wiring/routing plan per\n"
-      "                       cell instead of sharing one immutable\n"
-      "                       SystemBlueprint across workers (DFSIM_NO_BLUEPRINT\n"
-      "                       does the same; output is identical either way)\n"
       "  --json=FILE          write the report as JSON ('-' = stdout)\n"
       "  --csv=PREFIX         write <PREFIX>_{apps,congestion,stall}.csv\n"
       "  --trace=APP:FILE     record application APP's message trace to FILE\n"
@@ -169,22 +159,6 @@ struct CliOptions {
       "not fatal — see docs/ROBUSTNESS.md)\n",
       code == 0 ? stdout : stderr);
   std::exit(code);
-}
-
-/// `text` as a whole decimal integer of at least `min` for `flag`. Anything
-/// else — junk, a trailing suffix, overflow, a value below `min` — throws one
-/// line naming the flag, so a typo never runs a different experiment than the
-/// one asked for.
-template <typename T>
-T int_flag(const char* flag, const std::string& text, T min) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end || value < min) {
-    throw std::invalid_argument(std::string(flag) + " wants an integer >= " +
-                                std::to_string(min) + ", got '" + text + "'");
-  }
-  return value;
 }
 
 AppSpec parse_app(const std::string& value) {
@@ -257,10 +231,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.sweep = int_flag("--sweep", value_of(arg), 1);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       options.jobs = int_flag("--jobs", value_of(arg), 0);  // 0 = DFSIM_JOBS, else 1
-    } else if (std::strcmp(arg, "--no-arena") == 0) {
-      set_arena_enabled(false);
-    } else if (std::strcmp(arg, "--no-blueprint") == 0) {
-      set_blueprint_enabled(false);
     } else if (std::strncmp(arg, "--plan=", 7) == 0) {
       options.plan_path = value_of(arg);
     } else if (std::strncmp(arg, "--set=", 6) == 0) {

@@ -13,7 +13,8 @@ general-purpose tool enforces:
 
  * **Byte-identical determinism** (ROADMAP north star, docs/ARCHITECTURE.md):
    nothing under ``src/`` may consult ambient entropy (``std::rand``,
-   ``random_device``), read wall clocks outside the watchdog, key ordered or
+   ``random_device``), read environment variables outside the worker-count
+   default, read wall clocks outside the watchdog, key ordered or
    hashed containers by pointer value (addresses differ run to run), or
    iterate an unordered container in a way that can reach simulation output.
 
@@ -56,6 +57,11 @@ ALLOW_DET_CLOCK = {
     "src/sim/engine.hpp": "the cooperative wall-clock watchdog is the one sanctioned "
     "steady_clock consumer; it aborts runs, it never feeds output bytes",
     "src/core/study.cpp": "arms the engine watchdog from StudyConfig::wall_limit_s",
+}
+
+ALLOW_DET_ENV = {
+    "src/core/parallel.cpp": "reads DFSIM_JOBS, the default worker count; output is "
+    "byte-identical for any worker count, so the variable can never change results",
 }
 
 # Routing policies: per-cell mutable state deliberately NOT part of the
@@ -242,6 +248,31 @@ def rule_det_clock(src: SourceFile) -> list[Finding]:
     return findings
 
 
+ENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
+
+def rule_det_env(src: SourceFile) -> list[Finding]:
+    """det-env: environment-variable reads outside the allowlist."""
+    if src.rel in ALLOW_DET_ENV:
+        return []
+    findings = []
+    for no, code in enumerate(src.code_lines, 1):
+        if ENV_RE.search(code) and not src.suppressed(no, "det-env"):
+            findings.append(
+                Finding(
+                    src.rel,
+                    no,
+                    "det-env",
+                    "the environment is an ambient input: a variable read here can "
+                    "switch behaviour that no flag, config key or report shows. Take "
+                    "the value through StudyConfig, ExperimentPlan or a CLI flag "
+                    "instead, or add a justified allowlist entry in "
+                    "tools/dfsim_lint.py",
+                )
+            )
+    return findings
+
+
 # A pointer type as the KEY of an ordered/hashed container, or std::hash over
 # a pointer: iteration/compare order then depends on allocation addresses.
 PTR_KEY_RE = re.compile(
@@ -377,6 +408,7 @@ RULES = {
     "alloc-churn": rule_alloc_churn,
     "det-rand": rule_det_rand,
     "det-clock": rule_det_clock,
+    "det-env": rule_det_env,
     "det-pointer-key": rule_det_pointer_key,
     "det-unordered-iter": rule_det_unordered_iter,
     "routing-state": rule_routing_state,
