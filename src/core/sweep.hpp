@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/study.hpp"
@@ -65,7 +67,10 @@ class SeedSweep {
   /// Convenience: seeds base, base+1, ..., base+n-1.
   SeedSweep(std::uint64_t base_seed, int n);
 
-  const std::vector<std::uint64_t>& seeds() const { return seeds_; }
+  /// On a temporary the list is moved out by value, so
+  /// `for (s : SeedSweep(base, n).seeds())` never iterates a destroyed vector.
+  const std::vector<std::uint64_t>& seeds() const& { return seeds_; }
+  std::vector<std::uint64_t> seeds() && { return std::move(seeds_); }
 
   /// Aggregate already-collected reports. Every report must carry the same
   /// apps, by name and in order (the first report defines the app set);

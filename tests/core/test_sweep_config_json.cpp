@@ -7,6 +7,9 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/config_file.hpp"
 #include "core/json_report.hpp"
@@ -59,6 +62,18 @@ TEST(SeedSweep, AggregatesAcrossSeeds) {
   // placement differs per seed) and bounded by the spread.
   EXPECT_GE(summary.apps[0].comm_ms.ci95_half, 0.0);
   EXPECT_GT(summary.makespan_ms.mean, 0.0);
+}
+
+// seeds() on a temporary returns the list by value, so a range-for over it
+// iterates a live vector instead of a destroyed sweep's storage.
+static_assert(std::is_same_v<decltype(SeedSweep(1, 2).seeds()), std::vector<std::uint64_t>>);
+static_assert(std::is_same_v<decltype(std::declval<const SeedSweep&>().seeds()),
+                             const std::vector<std::uint64_t>&>);
+
+TEST(SeedSweep, SeedsOfATemporaryAreSafeToIterate) {
+  std::vector<std::uint64_t> seen;
+  for (const std::uint64_t seed : SeedSweep(42, 3).seeds()) seen.push_back(seed);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{42, 43, 44}));
 }
 
 TEST(SeedSweep, SingleSeedHasZeroCi) {

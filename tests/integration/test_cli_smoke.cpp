@@ -6,16 +6,24 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
 #ifndef DFSIM_CLI_PATH
 #error "DFSIM_CLI_PATH must be defined to the dflysim binary path"
+#endif
+#ifndef DFSIM_SOURCE_DIR
+#error "DFSIM_SOURCE_DIR must be defined to the repository root"
 #endif
 
 int run_cli(const std::string& args, const std::string& env = "") {
@@ -94,6 +102,13 @@ TEST(CliSmoke, InvalidIntegerFlagsFailNamingTheFlag) {
       {"--app=UR:16 --scale=64 --jobs=abc", "--jobs wants an integer >= 0, got 'abc'"},
       {"--app=UR:16 --scale=64 --sweep=0", "--sweep wants an integer >= 1, got '0'"},
       {"--app=UR:16 --scale=64 --seed=-3", "--seed wants an integer >= 0, got '-3'"},
+      // A single-value flag given twice used to keep the last value silently,
+      // and an empty value ran with that output switched off.
+      {"--app=UR:16 --routing=MIN --routing=PAR", "--routing given more than once"},
+      {"--serve=a.sock --serve=b.sock", "--serve given more than once"},
+      {"--app=UR:16 --json=", "--json needs a value: --json=FILE"},
+      {"--plan=p.cfg --jsonl=", "--jsonl needs a value: --jsonl=FILE"},
+      {"--plan=", "--plan needs a value: --plan=FILE"},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(run_cli(std::string(c.args) + " > /dev/null 2> " + err_path), 1) << c.args;
@@ -112,6 +127,144 @@ TEST(CliSmoke, InvalidIntegerFlagsFailNamingTheFlag) {
   EXPECT_NE(err.find("'scale' must be >= 1"), std::string::npos) << err;
   std::remove(config_path.c_str());
   std::remove(err_path.c_str());
+}
+
+/// True when `text` mentions `flag` as a whole flag (`--plan`, not the
+/// `--plan` inside `--plan-csv`).
+bool names_flag(const std::string& text, const std::string& flag) {
+  for (auto at = text.find(flag); at != std::string::npos; at = text.find(flag, at + 1)) {
+    const char next = at + flag.size() < text.size() ? text[at + flag.size()] : ' ';
+    if (next != '-' && !std::isalnum(static_cast<unsigned char>(next))) return true;
+  }
+  return false;
+}
+
+// The mode -> flag matrix, written out because it is the spec: a flag used
+// outside its modes is a usage error at parse time that names the flag, so
+// nothing runs, connects or writes. Mode flags choose the mode; a second
+// mode flag is reported either itself or as the mode that rejects the base's
+// flags, and either way the line names it.
+TEST(CliSmoke, FlagsOutsideTheirModeAreRejectedNamingTheFlag) {
+  const std::filesystem::path dir = temp_json_path() + ".modes";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string d = dir.string() + "/";
+  const std::string err_path = temp_json_path() + ".modes_stderr";
+  // Every flag outside --help/--list-*, with a value whose file, socket or
+  // spool would land in `dir` if the invocation were accepted.
+  const std::vector<std::pair<std::string, std::string>> flags = {
+      {"--config", "=" + d + "c.cfg"}, {"--app", "=UR:16"}, {"--routing", "=MIN"},
+      {"--placement", "=linear"}, {"--arrangement", "=absolute"}, {"--seed", "=7"},
+      {"--scale", "=64"}, {"--sweep", "=2"}, {"--jobs", "=2"}, {"--json", "=" + d + "o.json"},
+      {"--csv", "=" + d + "o"}, {"--trace", "=0:" + d + "t.csv"}, {"--fault", "=0:0:2"},
+      {"--plan", "=" + d + "p.cfg"}, {"--set", "=seed=1"}, {"--jsonl", "=" + d + "o.jsonl"},
+      {"--plan-csv", "=" + d + "o.csv"}, {"--journal", "=" + d + "j"}, {"--resume", ""},
+      {"--shard", "=1/2"}, {"--merge-shards", "=" + d + "m.jsonl"},
+      {"--serve", "=" + d + "serve.sock"}, {"--spool", "=" + d + "spool"},
+      {"--submit", "=" + d + "submit.sock"}, {"--shutdown", "=" + d + "stop.sock"}, {"--now", ""},
+  };
+  const struct {
+    std::string mode;
+    std::string base;
+    std::set<std::string> allowed;
+  } modes[] = {
+      {"run", "--app=UR:16 --scale=64",
+       {"--config", "--app", "--routing", "--placement", "--arrangement", "--seed", "--scale",
+        "--sweep", "--jobs", "--json", "--csv", "--trace", "--fault"}},
+      {"plan", "--plan=" + d + "p.cfg",
+       {"--plan", "--set", "--jsonl", "--plan-csv", "--journal", "--resume", "--shard", "--jobs",
+        // --plan plus --submit is submit mode, the one mode switch that
+        // leaves the base legal; the submit row covers it.
+        "--submit"}},
+      {"merge", "--merge-shards=" + d + "m.jsonl " + d + "a.jsonl", {"--merge-shards"}},
+      {"serve", "--serve=" + d + "serve.sock", {"--serve", "--spool", "--jobs"}},
+      {"submit", "--submit=" + d + "submit.sock --plan=" + d + "p.cfg",
+       {"--submit", "--plan", "--set"}},
+      {"shutdown", "--shutdown=" + d + "stop.sock", {"--shutdown", "--now"}},
+  };
+  std::vector<std::pair<std::string, std::string>> cases;  // {args, what stderr names}
+  for (const auto& mode : modes) {
+    for (const char* anywhere : {" --help", " --list-apps", " --list-routings",
+                                 " --list-placements"}) {
+      EXPECT_EQ(run_cli(mode.base + anywhere + " > /dev/null 2>&1"), 0) << mode.base << anywhere;
+    }
+    for (const auto& [flag, value] : flags) {
+      if (mode.allowed.count(flag) == 0) cases.emplace_back(mode.base + " " + flag + value, flag);
+    }
+    if (mode.mode != "merge") cases.emplace_back(mode.base + " stray", "stray");
+  }
+  // Invocations that used to get past parsing and ignore these flags.
+  cases.emplace_back("--merge-shards=" + d + "m.jsonl " + d + "a.jsonl --routing=MIN --seed=7 "
+                     "--json=" + d + "x.json --jsonl=" + d + "zz --journal=" + d + "j --jobs=3",
+                     "--routing");
+  cases.emplace_back("--shutdown=" + d + "stop.sock --jsonl=" + d + "x --journal=" + d +
+                         "j --shard=1/2 --jobs=4 stray",
+                     "--jsonl");
+  cases.emplace_back("--submit=" + d + "submit.sock --plan=" + d + "p.cfg --jobs=4 stray",
+                     "--jobs");
+  cases.emplace_back("--serve=" + d + "serve.sock stray", "stray");
+  for (const auto& [args, named] : cases) {
+    EXPECT_EQ(run_cli(args + " > /dev/null 2> " + err_path), 1) << args;
+    const std::string err = slurp(err_path);
+    const std::string first_line = err.substr(0, err.find('\n'));
+    EXPECT_TRUE(names_flag(first_line, named)) << args << ": " << err;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "a rejected invocation wrote into " << dir;
+  std::filesystem::remove_all(dir);
+  std::remove(err_path.c_str());
+}
+
+// Every `dflysim --...` command line in the user docs must use flags that
+// --help lists, and must get past the mode check: `--help` appended at the
+// end exits 0 only if every flag before it belongs to the chosen mode.
+TEST(CliSmoke, HelpListsEveryFlagTheDocsUse) {
+  const std::string help_path = temp_json_path() + ".help";
+  ASSERT_EQ(run_cli("--help > " + help_path + " 2>/dev/null"), 0);
+  const std::string help = slurp(help_path);
+  std::remove(help_path.c_str());
+  std::set<std::string> listed;  // every `--name` in the help text
+  for (auto at = help.find("--"); at != std::string::npos; at = help.find("--", at + 2)) {
+    const auto end = help.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+    if (end > at + 2) listed.insert(help.substr(at, end - at));
+  }
+  EXPECT_EQ(listed.size(), 30u) << help;
+
+  int command_lines = 0;
+  for (const char* doc : {"README.md", "docs/DAEMON.md", "docs/ROBUSTNESS.md"}) {
+    std::ifstream in(std::string(DFSIM_SOURCE_DIR) + "/" + doc);
+    ASSERT_TRUE(in) << doc;
+    std::string line;
+    std::string part;
+    while (std::getline(in, part)) {
+      line += part;
+      if (!line.empty() && line.back() == '\\') {  // shell continuation
+        line.pop_back();
+        continue;
+      }
+      for (auto at = line.find("dflysim --"); at != std::string::npos;
+           at = line.find("dflysim --", at + 1)) {
+        // The command runs up to the end of its code span, a pipe, redirect,
+        // `&` or comment.
+        std::string command = line.substr(at + 7);
+        command = command.substr(0, command.find_first_of("`|&#;<>"));
+        std::string args;
+        bool mention = false;  // e.g. a heading's `dflysim --serve`: no value given
+        std::istringstream tokens(command);
+        for (std::string token; tokens >> token;) {
+          args += " '" + token + "'";
+          const std::string flag = token.substr(0, token.find('='));
+          if (flag.rfind("--", 0) != 0) continue;
+          EXPECT_EQ(listed.count(flag), 1u) << doc << ": `" << flag << "` is not in --help";
+          mention |= flag == token && help.find(flag + "=") != std::string::npos;
+        }
+        if (mention) continue;
+        EXPECT_EQ(run_cli(args + " --help > /dev/null 2>&1"), 0) << doc << ":" << command;
+        ++command_lines;
+      }
+      line.clear();
+    }
+  }
+  EXPECT_GE(command_lines, 20) << "the docs' dflysim command lines were not found";
 }
 
 // Flags of deleted mechanisms (the intra-cell parallel engine, the arena and

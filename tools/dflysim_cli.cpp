@@ -25,6 +25,10 @@
 //   dflysim --plan=fig4.cfg --shard=2/2 --jsonl=b.jsonl   # host B
 //   dflysim --merge-shards=fig4.jsonl a.jsonl b.jsonl
 //
+// Each flag belongs to some of six modes (run, plan, merge, serve, submit,
+// shutdown) and is a usage error in the others; kFlags below is the one place
+// that grammar is written, and `dflysim --help` prints it.
+//
 // Exit status (see docs/ROBUSTNESS.md):
 //   0  success — every cell (or the single run) simulated and completed
 //   1  usage error, or a fatal error before/outside the run loop
@@ -32,10 +36,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <bitset>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -70,7 +76,29 @@ struct AppSpec {
   int nodes{0};  ///< 0 = all remaining
 };
 
+/// What one invocation does, one bit each. A flag lists the modes it
+/// combines with; any other mode rejects it.
+enum Mode : unsigned {
+  kRun = 1,  ///< one cell, or a --sweep of seeds
+  kPlan = 2,
+  kMerge = 4,
+  kServe = 8,
+  kSubmit = 16,
+  kShutdown = 32,
+};
+constexpr unsigned kAnyMode = kRun | kPlan | kMerge | kServe | kSubmit | kShutdown;
+
+/// Indexed by mode bit. Each mode's flag chooses it; when several are given
+/// the highest bit wins (--submit over its --plan), and the others are then
+/// rejected like any out-of-mode flag. Run mode is the default.
+constexpr struct {
+  const char* name;
+  const char* flag;
+} kModes[] = {{"run", "--app"},     {"plan", "--plan"},     {"merge", "--merge-shards"},
+              {"serve", "--serve"}, {"submit", "--submit"}, {"shutdown", "--shutdown"}};
+
 struct CliOptions {
+  Mode mode{kRun};
   StudyConfig config;
   std::vector<AppSpec> apps;
   std::string json_path;   ///< "-" = stdout
@@ -91,74 +119,16 @@ struct CliOptions {
   std::string merge_out;     ///< --merge-shards=OUT: reassemble shard JSONLs
   std::vector<std::string> merge_inputs;  ///< positional inputs for the merge
   // Campaign daemon (src/serve, docs/DAEMON.md):
-  std::string serve_socket;     ///< --serve=SOCKET: run the campaign daemon
-  std::string spool_dir;        ///< --spool=DIR: daemon spool (default SOCKET.spool)
-  std::string submit_socket;    ///< --submit=SOCKET: send --plan to a daemon
-  std::string shutdown_socket;  ///< --shutdown=SOCKET: stop a daemon
-  bool shutdown_now{false};     ///< --now: cancel running campaigns, don't drain
-  /// Single-run/sweep flags seen on the command line; a --plan run rejects
-  /// them instead of silently ignoring them (the plan file owns the config).
-  std::vector<std::string> single_run_flags;
+  std::string socket;        ///< --serve/--submit/--shutdown=SOCKET
+  std::string spool_dir;     ///< --spool=DIR: daemon spool (default SOCKET.spool)
+  bool shutdown_now{false};  ///< --now: cancel running campaigns, don't drain
 };
 
-[[noreturn]] void usage(int code) {
-  std::fputs(
-      "usage: dflysim [options]\n"
-      "  --config=FILE        key=value config file (see core/config_file.hpp)\n"
-      "  --plan=FILE          run a whole declarative campaign (plan.* keys, see\n"
-      "                       core/plan.hpp); combines with --set/--jsonl/--plan-csv\n"
-      "                       and --jobs, not with --app\n"
-      "  --set=KEY=VALUE      override one config/plan key before the campaign is\n"
-      "                       built (repeatable; e.g. --set=plan.seeds=1..4)\n"
-      "  --jsonl=FILE         stream one JSON object per finished campaign cell\n"
-      "                       ('-' = stdout; identical bytes for any --jobs)\n"
-      "  --plan-csv=FILE      also write the campaign's per-app CSV table (written\n"
-      "                       to FILE.tmp and atomically renamed when complete)\n"
-      "  --journal=FILE       durably record every finished campaign cell (one\n"
-      "                       fsync'd JSON line each) so the campaign survives\n"
-      "                       crashes; see --resume and docs/ROBUSTNESS.md\n"
-      "  --resume             continue a journaled campaign: skip recorded cells,\n"
-      "                       truncate any torn output tail, and produce output\n"
-      "                       byte-identical to an uninterrupted run (needs\n"
-      "                       --journal=FILE and --jsonl=FILE, not '-')\n"
-      "  --shard=K/N          run only cells with index %% N == K-1 (1 <= K <= N);\n"
-      "                       N invocations partition the campaign deterministically\n"
-      "  --merge-shards=OUT   reassemble per-shard --jsonl outputs into one\n"
-      "                       campaign file: dflysim --merge-shards=OUT A B ...\n"
-      "  --serve=SOCKET       run as a campaign daemon on a unix socket: accept\n"
-      "                       submitted plans over newline-delimited JSON, stream\n"
-      "                       results back, journal every campaign under the spool\n"
-      "                       dir, and resume unfinished campaigns on restart\n"
-      "                       (combines with --jobs/--spool; see docs/DAEMON.md)\n"
-      "  --spool=DIR          daemon spool directory (default: SOCKET.spool)\n"
-      "  --submit=SOCKET      submit --plan=FILE (plus --set overrides) to a\n"
-      "                       serving daemon; cell JSONL streams to stdout\n"
-      "                       byte-identical to a local --plan run with --jsonl=-\n"
-      "  --shutdown=SOCKET    ask a serving daemon to exit after draining running\n"
-      "                       campaigns (add --now to cancel them instead)\n"
-      "  --app=NAME:NODES     add an application (repeatable; NODES=0 fills the machine)\n"
-      "  --routing=NAME       MIN|VALg|VALn|UGALg|UGALn|PAR|FlowUGAL|AppAware|Q-adp\n"
-      "  --placement=NAME     random|contiguous|linear\n"
-      "  --arrangement=NAME   relative|absolute (global-link wiring)\n"
-      "  --seed=N             RNG seed (default 42)\n"
-      "  --scale=N            iteration divisor (default 1 = paper volumes)\n"
-      "  --sweep=N            repeat with seeds seed..seed+N-1, print aggregate\n"
-      "  --jobs=N             worker threads for --sweep cells (default: the\n"
-      "                       DFSIM_JOBS env var, else 1; output is identical\n"
-      "                       for any N)\n"
-      "  --json=FILE          write the report as JSON ('-' = stdout)\n"
-      "  --csv=PREFIX         write <PREFIX>_{apps,congestion,stall}.csv\n"
-      "  --trace=APP:FILE     record application APP's message trace to FILE\n"
-      "  --fault=SPEC         degrade links: router:port:slowdown[:extra_ns],...\n"
-      "  --list-apps          print the nine application names and exit\n"
-      "  --list-routings      print every routing algorithm and exit\n"
-      "  --list-placements    print every placement policy and exit\n"
-      "  --help               this text\n"
-      "exit status: 0 = success; 1 = usage/fatal error; 2 = ran to the end but\n"
-      "some cells failed or did not complete (campaign failures are recorded,\n"
-      "not fatal — see docs/ROBUSTNESS.md)\n",
-      code == 0 ? stdout : stderr);
-  std::exit(code);
+[[noreturn]] void usage(int code);
+
+[[noreturn]] void list(const std::vector<std::string>& names) {
+  for (const std::string& name : names) std::printf("%s\n", name.c_str());
+  std::exit(0);
 }
 
 AppSpec parse_app(const std::string& value) {
@@ -171,233 +141,195 @@ AppSpec parse_app(const std::string& value) {
   // throwing out of make_app after the network has been built.
   const auto& names = workloads::app_names();
   if (std::find(names.begin(), names.end(), spec.name) == names.end()) {
-    std::fprintf(stderr, "dflysim: unknown application '%s' (see --list-apps)\n",
-                 spec.name.c_str());
-    std::exit(1);
+    throw std::invalid_argument("unknown application '" + spec.name + "' (see --list-apps)");
   }
   return spec;
+}
+
+/// One row per flag. The parser applies every argument through its row and
+/// --help prints the rows, so the grammar is written down once.
+struct Flag {
+  const char* name;
+  const char* value;  ///< "FILE" for --name=FILE; nullptr for a bare switch
+  unsigned modes;     ///< modes the flag combines with
+  bool repeats;
+  const char* help;
+  void (*apply)(CliOptions&, const std::string& value);
+};
+
+using O = CliOptions;
+using V = const std::string&;
+
+constexpr Flag kFlags[] = {
+    {"--app", "NAME:NODES", kRun, true, "add an application; NODES=0 fills the machine",
+     [](O& o, V v) { o.apps.push_back(parse_app(v)); }},
+    {"--config", "FILE", kRun, true, "key=value config file, layered in order",
+     [](O& o, V v) { o.config = apply_config(std::move(o.config), ConfigFile::load(v)); }},
+    {"--routing", "NAME", kRun, false, "MIN|VALg|VALn|UGALg|UGALn|PAR|FlowUGAL|AppAware|Q-adp",
+     [](O& o, V v) { o.config.routing = v; }},
+    {"--placement", "NAME", kRun, false, "random|contiguous|linear",
+     [](O& o, V v) { o.config.placement = placement_from_string(v); }},
+    {"--arrangement", "NAME", kRun, false, "relative|absolute (global-link wiring)",
+     [](O& o, V v) { o.config.topo.arrangement = arrangement_from_string(v); }},
+    {"--seed", "N", kRun, false, "RNG seed (default 42)",
+     [](O& o, V v) { o.config.seed = int_flag<std::uint64_t>("--seed", v, 0); }},
+    {"--scale", "N", kRun, false, "iteration divisor (default 1 = paper volumes)",
+     [](O& o, V v) { o.config.scale = int_flag("--scale", v, 1); }},
+    {"--sweep", "N", kRun, false, "repeat with seeds seed..seed+N-1, print aggregate",
+     [](O& o, V v) { o.sweep = int_flag("--sweep", v, 1); }},
+    {"--json", "FILE", kRun, false, "write the report as JSON ('-' = stdout)",
+     [](O& o, V v) { o.json_path = v; }},
+    {"--csv", "PREFIX", kRun, false, "write <PREFIX>_{apps,congestion,stall}.csv",
+     [](O& o, V v) { o.csv_prefix = v; }},
+    {"--trace", "APP:FILE", kRun, false, "record application APP's message trace to FILE",
+     [](O& o, V v) {
+       const auto colon = v.find(':');
+       if (colon == std::string::npos) throw std::invalid_argument("--trace needs APP:FILE");
+       o.trace_app = int_flag("--trace", v.substr(0, colon), 0);
+       o.trace_path = v.substr(colon + 1);
+     }},
+    {"--fault", "SPEC", kRun, true, "degrade links: router:port:slowdown[:extra_ns],...",
+     [](O& o, V v) { o.config.faults.merge(parse_fault_plan(v)); }},
+    {"--jobs", "N", kRun | kPlan | kServe, false, "worker threads (default DFSIM_JOBS, else 1)",
+     [](O& o, V v) { o.jobs = int_flag("--jobs", v, 0); }},
+    {"--plan", "FILE", kPlan | kSubmit, false, "run a campaign file (core/plan.hpp)",
+     [](O& o, V v) { o.plan_path = v; }},
+    {"--set", "KEY=VALUE", kPlan | kSubmit, true, "override a config/plan key",
+     [](O& o, V v) {
+       const auto eq = v.find('=');
+       if (eq == std::string::npos || eq == 0) {
+         throw std::invalid_argument("--set needs KEY=VALUE");
+       }
+       o.sets.emplace_back(v.substr(0, eq), v.substr(eq + 1));
+     }},
+    {"--jsonl", "FILE", kPlan, false, "stream one JSON line per finished cell ('-' = stdout)",
+     [](O& o, V v) { o.jsonl_path = v; }},
+    {"--plan-csv", "FILE", kPlan, false, "also write the campaign's per-app CSV table",
+     [](O& o, V v) { o.plan_csv_path = v; }},
+    {"--journal", "FILE", kPlan, false, "fsync each finished cell so a crash can --resume",
+     [](O& o, V v) { o.journal_path = v; }},
+    {"--resume", nullptr, kPlan, false, "continue a journaled campaign byte-identically",
+     [](O& o, V) { o.resume = true; }},
+    {"--shard", "K/N", kPlan, false, "run only cells with index % N == K-1",
+     [](O& o, V v) { o.shard = v; }},
+    {"--merge-shards", "OUT", kMerge, false, "merge the shard JSONLs given after it",
+     [](O& o, V v) { o.merge_out = v; }},
+    {"--serve", "SOCKET", kServe, false, "run the campaign daemon (docs/DAEMON.md)",
+     [](O& o, V v) { o.socket = v; }},
+    {"--spool", "DIR", kServe, false, "daemon spool directory (default SOCKET.spool)",
+     [](O& o, V v) { o.spool_dir = v; }},
+    {"--submit", "SOCKET", kSubmit, false, "send --plan to a daemon; JSONL to stdout",
+     [](O& o, V v) { o.socket = v; }},
+    {"--shutdown", "SOCKET", kShutdown, false, "stop a daemon once campaigns drain",
+     [](O& o, V v) { o.socket = v; }},
+    {"--now", nullptr, kShutdown, false, "cancel running campaigns instead of draining",
+     [](O& o, V) { o.shutdown_now = true; }},
+    {"--list-apps", nullptr, kAnyMode, false, "print the application names and exit",
+     [](O&, V) { list(workloads::app_names()); }},
+    {"--list-routings", nullptr, kAnyMode, false, "print the routing algorithms and exit",
+     [](O&, V) { list(routing::all_routings()); }},
+    {"--list-placements", nullptr, kAnyMode, false, "print the placement policies and exit",
+     [](O&, V) { list(all_placements()); }},
+    {"--help", nullptr, kAnyMode, false, "this text", [](O&, V) { usage(0); }},
+};
+
+std::string mode_list(unsigned modes) {
+  if (modes == kAnyMode) return "any";
+  std::string text;
+  for (unsigned bit = 0; bit < std::size(kModes); ++bit) {
+    if ((modes >> bit & 1) == 0) continue;
+    if (!text.empty()) text += ',';
+    text += kModes[bit].name;
+  }
+  return text;
+}
+
+void usage(int code) {
+  std::FILE* out = code == 0 ? stdout : stderr;
+  std::fputs("usage: dflysim --app=NAME:NODES [flags]     run: one cell, or a --sweep\n"
+             "       dflysim --plan=FILE [flags]          plan: a campaign\n"
+             "       dflysim --merge-shards=OUT A B ...   merge: reassemble shards\n"
+             "       dflysim --serve|--submit|--shutdown=SOCKET [flags]   the daemon\n"
+             "A flag is rejected outside the modes listed next to it.\n",
+             out);
+  for (const Flag& flag : kFlags) {
+    std::string head = flag.name;
+    if (flag.value != nullptr) head = head + "=" + flag.value;
+    std::fprintf(out, "  %-19s %-15s %s%s\n", head.c_str(), mode_list(flag.modes).c_str(),
+                 flag.help, flag.repeats ? " (repeatable)" : "");
+  }
+  std::fputs("exit status: 0 = success; 1 = usage/fatal error; 2 = ran to the end but\n"
+             "some cells failed or did not complete (docs/ROBUSTNESS.md)\n",
+             out);
+  std::exit(code);
+}
+
+[[noreturn]] void usage_error(const std::string& line) {
+  std::fprintf(stderr, "%s\n\n", line.c_str());
+  usage(1);
+}
+
+const Flag* find_flag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
 }
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   options.config.scale = 1;
-  auto value_of = [](const char* arg) {
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) throw std::invalid_argument(std::string("missing '=' in ") + arg);
-    return std::string(eq + 1);
-  };
-  // Flags that configure a single run / sweep directly. In --plan mode the
-  // plan file (plus --set) owns the whole configuration, so these are
-  // rejected rather than silently dropped.
-  const auto single_run = [&options](const char* flag) { options.single_run_flags.push_back(flag); };
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0) usage(0);
-    if (std::strcmp(arg, "--list-apps") == 0) {
-      for (const std::string& name : workloads::app_names()) std::printf("%s\n", name.c_str());
-      std::exit(0);
-    }
-    if (std::strcmp(arg, "--list-routings") == 0) {
-      for (const std::string& name : routing::all_routings()) std::printf("%s\n", name.c_str());
-      std::exit(0);
-    }
-    if (std::strcmp(arg, "--list-placements") == 0) {
-      for (const std::string& name : all_placements()) std::printf("%s\n", name.c_str());
-      std::exit(0);
-    }
-    if (std::strncmp(arg, "--config=", 9) == 0) {
-      single_run("--config");
-      options.config = apply_config(std::move(options.config), ConfigFile::load(value_of(arg)));
-    } else if (std::strncmp(arg, "--app=", 6) == 0) {
-      single_run("--app");
-      options.apps.push_back(parse_app(value_of(arg)));
-    } else if (std::strncmp(arg, "--routing=", 10) == 0) {
-      single_run("--routing");
-      options.config.routing = value_of(arg);
-    } else if (std::strncmp(arg, "--placement=", 12) == 0) {
-      single_run("--placement");
-      options.config.placement = placement_from_string(value_of(arg));
-    } else if (std::strncmp(arg, "--arrangement=", 14) == 0) {
-      single_run("--arrangement");
-      options.config.topo.arrangement = arrangement_from_string(value_of(arg));
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      single_run("--seed");
-      options.config.seed = int_flag<std::uint64_t>("--seed", value_of(arg), 0);
-    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-      single_run("--scale");
-      options.config.scale = int_flag("--scale", value_of(arg), 1);
-    } else if (std::strncmp(arg, "--sweep=", 8) == 0) {
-      single_run("--sweep");
-      options.sweep = int_flag("--sweep", value_of(arg), 1);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      options.jobs = int_flag("--jobs", value_of(arg), 0);  // 0 = DFSIM_JOBS, else 1
-    } else if (std::strncmp(arg, "--plan=", 7) == 0) {
-      options.plan_path = value_of(arg);
-    } else if (std::strncmp(arg, "--set=", 6) == 0) {
-      const std::string pair = value_of(arg);
-      const auto eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw std::invalid_argument("--set needs KEY=VALUE");
-      }
-      options.sets.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    } else if (std::strncmp(arg, "--jsonl=", 8) == 0) {
-      options.jsonl_path = value_of(arg);
-    } else if (std::strncmp(arg, "--plan-csv=", 11) == 0) {
-      options.plan_csv_path = value_of(arg);
-    } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-      options.journal_path = value_of(arg);
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      options.resume = true;
-    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      options.shard = value_of(arg);
-    } else if (std::strncmp(arg, "--merge-shards=", 15) == 0) {
-      options.merge_out = value_of(arg);
-    } else if (std::strncmp(arg, "--serve=", 8) == 0) {
-      options.serve_socket = value_of(arg);
-    } else if (std::strncmp(arg, "--spool=", 8) == 0) {
-      options.spool_dir = value_of(arg);
-    } else if (std::strncmp(arg, "--submit=", 9) == 0) {
-      options.submit_socket = value_of(arg);
-    } else if (std::strncmp(arg, "--shutdown=", 11) == 0) {
-      options.shutdown_socket = value_of(arg);
-    } else if (std::strcmp(arg, "--now") == 0) {
-      options.shutdown_now = true;
-    } else if (arg[0] != '-') {
-      options.merge_inputs.emplace_back(arg);  // positional: shard inputs
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      single_run("--json");
-      options.json_path = value_of(arg);
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      single_run("--csv");
-      options.csv_prefix = value_of(arg);
-    } else if (std::strncmp(arg, "--fault=", 8) == 0) {
-      single_run("--fault");
-      options.config.faults.merge(parse_fault_plan(value_of(arg)));
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      single_run("--trace");
-      const std::string value = value_of(arg);
-      const auto colon = value.find(':');
-      if (colon == std::string::npos) throw std::invalid_argument("--trace needs APP:FILE");
-      options.trace_app = int_flag("--trace", value.substr(0, colon), 0);
-      options.trace_path = value.substr(colon + 1);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n\n", arg);
-      usage(1);
+    const std::string arg = argv[i];
+    const std::string name = arg.substr(0, arg.find('='));
+    for (unsigned bit = 0; bit < std::size(kModes); ++bit) {
+      if (name == kModes[bit].flag) options.mode = std::max(options.mode, Mode(1u << bit));
     }
   }
-  // Daemon modes (docs/DAEMON.md). Each is a standalone mode like
-  // --merge-shards: anything it cannot honour is rejected, not ignored.
-  const int daemon_modes = (options.serve_socket.empty() ? 0 : 1) +
-                           (options.submit_socket.empty() ? 0 : 1) +
-                           (options.shutdown_socket.empty() ? 0 : 1);
-  if (daemon_modes > 1) {
-    std::fputs("--serve, --submit and --shutdown are mutually exclusive modes\n\n", stderr);
-    usage(1);
-  }
-  if (!options.spool_dir.empty() && options.serve_socket.empty()) {
-    std::fputs("--spool only applies to --serve (the daemon owns the spool)\n\n", stderr);
-    usage(1);
-  }
-  if (options.shutdown_now && options.shutdown_socket.empty()) {
-    std::fputs("--now only applies to --shutdown\n\n", stderr);
-    usage(1);
-  }
-  if (!options.serve_socket.empty()) {
-    if (!options.single_run_flags.empty() || !options.plan_path.empty() ||
-        !options.merge_out.empty() || !options.sets.empty() || !options.jsonl_path.empty() ||
-        !options.plan_csv_path.empty() || !options.journal_path.empty() || options.resume ||
-        !options.shard.empty()) {
-      std::fputs("--serve is a standalone mode: clients submit plans (and --set\n"
-                 "overrides) over the socket; only --jobs and --spool combine with it\n\n",
-                 stderr);
-      usage(1);
+  const auto& mode = kModes[std::countr_zero(static_cast<unsigned>(options.mode))];
+  std::bitset<std::size(kFlags)> seen;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      if (options.mode != kMerge) usage_error("unexpected argument: " + arg);
+      options.merge_inputs.push_back(arg);
+      continue;
     }
-    return options;
-  }
-  if (!options.submit_socket.empty()) {
-    if (options.plan_path.empty()) {
-      std::fputs("--submit needs --plan=FILE (the campaign to send)\n\n", stderr);
-      usage(1);
+    const std::size_t eq = arg.find('=');
+    const Flag* flag = find_flag(arg.substr(0, eq));
+    if (flag == nullptr) usage_error("unknown option: " + arg);
+    const std::string name = flag->name;
+    if ((flag->modes & options.mode) == 0) {
+      usage_error(name + " does not apply in " + mode.name + " mode (" + mode.flag +
+                  "); it is a " + mode_list(flag->modes) + " flag");
     }
-    if (!options.single_run_flags.empty() || !options.merge_out.empty() ||
-        !options.jsonl_path.empty() || !options.plan_csv_path.empty() ||
-        !options.journal_path.empty() || options.resume || !options.shard.empty()) {
-      std::fputs("--submit sends --plan (plus --set) to the daemon, which owns the\n"
-                 "journal and spool; cell JSONL streams to stdout — other campaign\n"
-                 "flags do not apply\n\n",
-                 stderr);
-      usage(1);
+    const std::size_t row = static_cast<std::size_t>(flag - kFlags);
+    if (seen[row] && !flag->repeats) throw std::invalid_argument(name + " given more than once");
+    seen[row] = true;
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (flag->value == nullptr && eq != std::string::npos) {
+      throw std::invalid_argument(name + " takes no value");
     }
-    return options;
-  }
-  if (!options.shutdown_socket.empty()) {
-    if (!options.single_run_flags.empty() || !options.plan_path.empty() ||
-        !options.merge_out.empty() || !options.sets.empty()) {
-      std::fputs("--shutdown is a standalone mode (only --now combines with it)\n\n", stderr);
-      usage(1);
+    if (flag->value != nullptr && value.empty()) {
+      throw std::invalid_argument(name + " needs a value: " + name + "=" + flag->value);
     }
-    return options;
+    flag->apply(options, value);
   }
-  if (!options.merge_out.empty()) {
-    if (!options.plan_path.empty() || !options.apps.empty()) {
-      std::fputs("--merge-shards is a standalone mode; it does not combine with "
-                 "--plan or --app\n\n",
-                 stderr);
-      usage(1);
-    }
-    if (options.merge_inputs.empty()) {
-      std::fputs("--merge-shards needs at least one input JSONL file\n\n", stderr);
-      usage(1);
-    }
-    return options;
-  }
-  if (!options.merge_inputs.empty()) {
-    std::fprintf(stderr, "unexpected argument: %s\n\n", options.merge_inputs.front().c_str());
-    usage(1);
-  }
-  if (!options.plan_path.empty()) {
-    if (!options.single_run_flags.empty()) {
-      std::string flags;
-      for (const std::string& flag : options.single_run_flags) {
-        if (!flags.empty()) flags += ", ";
-        flags += flag;
-      }
-      std::fprintf(stderr,
-                   "--plan describes the whole campaign; it does not combine with %s "
-                   "(use --set=KEY=VALUE to override plan-file keys)\n\n",
-                   flags.c_str());
-      usage(1);
-    }
-    if (options.resume) {
-      if (options.journal_path.empty()) {
-        std::fputs("--resume needs --journal=FILE (the journal to replay)\n\n", stderr);
-        usage(1);
-      }
-      if (options.jsonl_path.empty() || options.jsonl_path == "-") {
-        std::fputs("--resume needs --jsonl=FILE (a real file, not '-'): the output is\n"
-                   "truncated to the last journaled offset and continued in place\n\n",
-                   stderr);
-        usage(1);
-      }
-      if (!options.plan_csv_path.empty()) {
-        std::fputs("--resume does not combine with --plan-csv (a CSV cannot be resumed "
-                   "mid-campaign; re-derive it from the merged JSONL)\n\n",
-                   stderr);
-        usage(1);
-      }
-    }
-    return options;
-  }
-  if (!options.sets.empty() || !options.jsonl_path.empty() || !options.plan_csv_path.empty() ||
-      !options.journal_path.empty() || options.resume || !options.shard.empty()) {
-    std::fputs("--set/--jsonl/--plan-csv/--journal/--resume/--shard only apply to a "
-               "--plan campaign\n\n",
-               stderr);
-    usage(1);
-  }
-  if (options.apps.empty()) {
-    std::fputs("no --app given\n\n", stderr);
-    usage(1);
+  const std::pair<bool, const char*> rules[] = {
+      {options.mode == kRun && options.apps.empty(), "no --app given"},
+      {options.mode == kMerge && options.merge_inputs.empty(),
+       "--merge-shards needs at least one input JSONL file"},
+      {options.mode == kSubmit && options.plan_path.empty(),
+       "--submit needs --plan=FILE (the campaign to send)"},
+      {options.resume && options.journal_path.empty(),
+       "--resume needs --journal=FILE (the journal to replay)"},
+      {options.resume && (options.jsonl_path.empty() || options.jsonl_path == "-"),
+       "--resume needs --jsonl=FILE (a real file, not '-'): it is continued in place"},
+      {options.resume && !options.plan_csv_path.empty(),
+       "--resume does not combine with --plan-csv (a CSV cannot be resumed)"},
+  };
+  for (const auto& [broken, message] : rules) {
+    if (broken) usage_error(message);
   }
   return options;
 }
@@ -502,8 +434,10 @@ int run_campaign(const CliOptions& options) {
     }
   }
 
+  // Console lines go to stderr when the JSONL itself is on stdout.
+  std::FILE* info = options.jsonl_path == "-" ? stderr : stdout;
   TeeSink sinks;
-  ProgressSink progress(options.jsonl_path == "-" ? stderr : stdout);
+  ProgressSink progress(info);
   sinks.add(&progress);
   std::unique_ptr<JsonlSink> jsonl;
   if (!options.jsonl_path.empty()) {
@@ -529,7 +463,6 @@ int run_campaign(const CliOptions& options) {
   }
 
   const PlanOutcome outcome = run_plan(plan, sinks, run_options);
-  std::FILE* info = options.jsonl_path == "-" ? stderr : stdout;
   std::fprintf(info, "%zu/%zu cells completed", outcome.completed, outcome.cells);
   if (outcome.resumed > 0) std::fprintf(info, " (%zu resumed from journal)", outcome.resumed);
   std::fputc('\n', info);
@@ -567,7 +500,7 @@ void handle_stop_signal(int) {
 
 int run_serve(const CliOptions& options) {
   serve::ServeOptions serve_options;
-  serve_options.socket_path = options.serve_socket;
+  serve_options.socket_path = options.socket;
   serve_options.spool_dir = options.spool_dir;
   serve_options.jobs = options.jobs;
   serve::Server server(std::move(serve_options));
@@ -579,7 +512,7 @@ int run_serve(const CliOptions& options) {
                server.jobs() == 1 ? "" : "s");
   const int status = server.serve();
   g_server.store(nullptr, std::memory_order_relaxed);
-  std::fprintf(stderr, "dflysim: daemon on %s stopped\n", options.serve_socket.c_str());
+  std::fprintf(stderr, "dflysim: daemon on %s stopped\n", options.socket.c_str());
   return status;
 }
 
@@ -590,7 +523,7 @@ int run_submit(const CliOptions& options) {
   if (!in) throw std::runtime_error("cannot read plan file '" + options.plan_path + "'");
   std::ostringstream text;
   text << in.rdbuf();
-  return serve::submit_plan(options.submit_socket, text.str(), options.sets, stdout, stderr);
+  return serve::submit_plan(options.socket, text.str(), options.sets, stdout, stderr);
 }
 #endif  // !_WIN32
 
@@ -622,6 +555,51 @@ void print_table(const Report& report) {
               to_ms(report.makespan), report.sys_lat_p99_us, report.agg_throughput_gb_per_ms);
 }
 
+/// --json for a single run and a sweep alike: '-' prints to stdout.
+void write_json(const std::string& path, const std::string& json) {
+  if (path.empty()) return;
+  if (path == "-") {
+    std::printf("%s\n", json.c_str());
+    return;
+  }
+  save_json(path, json);
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+}
+
+int run_single(const CliOptions& options) {
+  const Report report = run_once(options, options.config.seed, /*side_outputs=*/true);
+  print_table(report);
+  write_json(options.json_path, report_to_json(report));
+  return report.completed ? 0 : 2;
+}
+
+/// Multi-seed sweep: a seeds-axis plan whose cells shard across --jobs
+/// workers (results are identical for any worker count); aggregate, print,
+/// optionally dump JSON. A failed cell fails the whole sweep.
+int run_sweep(const CliOptions& options) {
+  ExperimentPlan plan;
+  plan.name = "seed_sweep";
+  plan.mode = PlanMode::kCustom;
+  plan.seeds = SeedSweep(options.config.seed, options.sweep).seeds();
+  plan.custom = [&options](const PlanCell& cell) {
+    return run_once(options, cell.config.seed, false);
+  };
+  CollectSink sink;
+  const PlanOutcome outcome = run_plan(plan, sink, options.jobs);
+  if (!outcome.failures.empty()) throw std::runtime_error(outcome.failures.front().message);
+  const SweepSummary summary = SeedSweep::aggregate(sink.reports());
+  viz::AsciiTable table({"app", "comm_ms mean", "ci95", "min", "max"});
+  for (const AppSweep& app : summary.apps) {
+    table.row(app.app, {app.comm_ms.mean, app.comm_ms.ci95_half, app.comm_ms.min,
+                        app.comm_ms.max});
+  }
+  std::fputs(table.str().c_str(), stdout);
+  std::printf("%d/%d runs completed | makespan %.3f +/- %.3f ms\n", summary.completed_runs,
+              summary.runs, summary.makespan_ms.mean, summary.makespan_ms.ci95_half);
+  write_json(options.json_path, sweep_to_json(summary));
+  return summary.completed_runs == summary.runs ? 0 : 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -633,60 +611,18 @@ int main(int argc, char** argv) {
 #endif
   try {
     const CliOptions options = parse_cli(argc, argv);
+    switch (options.mode) {
+      case kRun: return options.sweep > 1 ? run_sweep(options) : run_single(options);
+      case kPlan: return run_campaign(options);
+      case kMerge: return run_merge(options);
 #ifndef _WIN32
-    if (!options.serve_socket.empty()) return run_serve(options);
-    if (!options.submit_socket.empty()) return run_submit(options);
-    if (!options.shutdown_socket.empty()) {
-      return serve::request_shutdown(options.shutdown_socket, !options.shutdown_now, stderr);
-    }
+      case kServe: return run_serve(options);
+      case kSubmit: return run_submit(options);
+      case kShutdown:
+        return serve::request_shutdown(options.socket, !options.shutdown_now, stderr);
 #endif
-    if (!options.merge_out.empty()) return run_merge(options);
-    if (!options.plan_path.empty()) return run_campaign(options);
-    if (options.sweep <= 1) {
-      const Report report = run_once(options, options.config.seed, /*side_outputs=*/true);
-      print_table(report);
-      if (!options.json_path.empty()) {
-        const std::string json = report_to_json(report);
-        if (options.json_path == "-") {
-          std::printf("%s\n", json.c_str());
-        } else {
-          save_json(options.json_path, json);
-          std::fprintf(stderr, "wrote %s\n", options.json_path.c_str());
-        }
-      }
-      return report.completed ? 0 : 2;
+      default: throw std::runtime_error("the daemon modes need unix sockets");
     }
-    // Multi-seed sweep: a seeds-axis plan whose cells shard across --jobs
-    // workers (results are identical for any worker count); aggregate, print,
-    // optionally dump JSON. A failed cell fails the whole sweep.
-    ExperimentPlan plan;
-    plan.name = "seed_sweep";
-    plan.mode = PlanMode::kCustom;
-    plan.seeds = SeedSweep(options.config.seed, options.sweep).seeds();
-    plan.custom = [&options](const PlanCell& cell) {
-      return run_once(options, cell.config.seed, false);
-    };
-    CollectSink sink;
-    const PlanOutcome outcome = run_plan(plan, sink, options.jobs);
-    if (!outcome.failures.empty()) throw std::runtime_error(outcome.failures.front().message);
-    const SweepSummary summary = SeedSweep::aggregate(sink.reports());
-    viz::AsciiTable table({"app", "comm_ms mean", "ci95", "min", "max"});
-    for (const AppSweep& app : summary.apps) {
-      table.row(app.app, {app.comm_ms.mean, app.comm_ms.ci95_half, app.comm_ms.min,
-                          app.comm_ms.max});
-    }
-    std::fputs(table.str().c_str(), stdout);
-    std::printf("%d/%d runs completed | makespan %.3f +/- %.3f ms\n", summary.completed_runs,
-                summary.runs, summary.makespan_ms.mean, summary.makespan_ms.ci95_half);
-    if (!options.json_path.empty()) {
-      const std::string json = sweep_to_json(summary);
-      if (options.json_path == "-") {
-        std::printf("%s\n", json.c_str());
-      } else {
-        save_json(options.json_path, json);
-      }
-    }
-    return summary.completed_runs == summary.runs ? 0 : 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "dflysim: %s\n", error.what());
     return 1;
