@@ -259,9 +259,9 @@ int run(int argc, char** argv) {
   std::printf("peak RSS (cumulative ru_maxrss): %ld KB after fresh phase, +%ld KB added by "
               "the arena phase, +%ld KB by the shared-blueprint phase\n",
               fresh.rss_kb_after, arena_rss_delta, shared_rss_delta);
-  std::printf("arena carry: %zu event slots, %zu packet slots, %llu/%llu routers, "
+  std::printf("arena carry: %zu packet slots, %llu/%llu routers, "
               "%llu/%llu NICs and %llu/%llu ranks recycled\n",
-              arena_stats.engine_event_capacity, arena_stats.pool_capacity,
+              arena_stats.pool_capacity,
               static_cast<unsigned long long>(arena_stats.router_reuses),
               static_cast<unsigned long long>(arena_stats.router_reuses +
                                               arena_stats.router_builds),
@@ -271,9 +271,8 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(arena_stats.rank_reuses),
               static_cast<unsigned long long>(arena_stats.rank_reuses +
                                               arena_stats.rank_builds));
-  std::printf("mpi carry: %zu inflight-map slots, %zu owners-map slots, %zu match-list slots\n",
-              arena_stats.inflight_capacity, arena_stats.owners_capacity,
-              arena_stats.match_capacity);
+  std::printf("mpi carry: %zu inflight-map slots, %zu match-list slots\n",
+              arena_stats.inflight_capacity, arena_stats.match_capacity);
   std::printf("outputs byte-identical: %s\n", identical ? "yes" : "NO (regression!)");
 
   if (!options.json_path.empty()) {
@@ -306,17 +305,14 @@ int run(int argc, char** argv) {
             ", \"arena_rss_delta_kb\": " + std::to_string(arena_rss_delta);
     const ArenaStats& stats = arena_stats;
     std::snprintf(buf, sizeof buf,
-                  ", \"engine_event_capacity\": %zu, \"engine_peak_events\": %zu, "
-                  "\"closure_peak\": %zu, \"pool_capacity\": %zu, \"pool_peak_packets\": %zu, "
+                  ", \"pool_capacity\": %zu, \"pool_peak_packets\": %zu, "
                   "\"router_reuses\": %llu, \"nic_reuses\": %llu, \"rank_reuses\": %llu, "
-                  "\"inflight_capacity\": %zu, \"owners_capacity\": %zu, "
-                  "\"match_capacity\": %zu},\n",
-                  stats.engine_event_capacity, stats.engine_peak_events, stats.closure_peak,
+                  "\"inflight_capacity\": %zu, \"match_capacity\": %zu},\n",
                   stats.pool_capacity, stats.pool_peak_packets,
                   static_cast<unsigned long long>(stats.router_reuses),
                   static_cast<unsigned long long>(stats.nic_reuses),
                   static_cast<unsigned long long>(stats.rank_reuses), stats.inflight_capacity,
-                  stats.owners_capacity, stats.match_capacity);
+                  stats.match_capacity);
     json += buf;
     // The shared phase runs third: its RSS delta is over the arena phase.
     json += "  \"shared_blueprint\": {\"cell_wall_ms\": " + json_array(shared.cells, true) +

@@ -28,21 +28,6 @@ void SimArena::release(const void* owner) {
   if (owner_ == owner) owner_ = nullptr;
 }
 
-Engine SimArena::take_engine() {
-  Engine engine = std::move(engine_);
-  engine_ = Engine{};
-  engine.reset();  // storage kept; clock/seq zeroed (no-op on a fresh engine)
-  return engine;
-}
-
-void SimArena::return_engine(Engine&& engine) {
-  track_peak(stats_.engine_peak_events, engine.peak_queued());
-  track_peak(stats_.engine_event_capacity, engine.event_capacity());
-  track_peak(stats_.closure_peak, engine.closure_capacity());
-  engine.reset();
-  engine_ = std::move(engine);
-}
-
 SimArena::NetStorage SimArena::take_net() {
   NetStorage storage = std::move(net_);
   net_ = NetStorage{};
@@ -72,30 +57,14 @@ void SimArena::return_job_storage(mpi::JobStorage&& storage) {
   job_storage_.push_back(std::move(storage));
 }
 
-mpi::SystemStorage SimArena::take_system_storage() {
-  mpi::SystemStorage storage = std::move(system_storage_);
-  system_storage_ = mpi::SystemStorage{};
-  return storage;
-}
-
-void SimArena::return_system_storage(mpi::SystemStorage&& storage) {
-  track_peak(stats_.owners_capacity, storage.owners.capacity());
-  system_storage_ = std::move(storage);
-}
-
 void SimArena::shed() {
   if (in_use()) return;  // a live Study owns the storage; nothing to drop
-  engine_ = Engine{};
   net_ = NetStorage{};
   job_storage_.clear();
   job_storage_.shrink_to_fit();
-  system_storage_ = mpi::SystemStorage{};
-  frame_pool_.trim();
 }
 
-ScopedArenaBinding::ScopedArenaBinding(SimArena* arena)
-    : previous_(t_current_arena),
-      frame_binding_(arena != nullptr ? &arena->frame_pool() : nullptr) {
+ScopedArenaBinding::ScopedArenaBinding(SimArena* arena) : previous_(t_current_arena) {
   if (arena != nullptr) t_current_arena = arena;
 }
 

@@ -5,34 +5,31 @@
 #include <memory>
 #include <vector>
 
-#include "mpi/frame_pool.hpp"
 #include "mpi/storage.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
 #include "net/router.hpp"
-#include "sim/engine.hpp"
 #include "stats/link_stats.hpp"
 #include "stats/packet_log.hpp"
 
 /// Per-worker reusable simulation storage.
 ///
-/// Every paper figure is a sweep of independent (config, seed) cells, and
-/// each cell historically rebuilt its Study — engine heap, packet pool,
-/// router/NIC buffers, stats vectors — from scratch. A SimArena owns that
-/// backing storage across cells: a SubmissionQueue worker binds one arena for
-/// its lifetime, the first cell grows the storage to its peak, and every
-/// later cell of a similar shape re-initialises in place instead of
-/// re-growing from empty. Reuse is carried by the containers themselves
-/// (vector capacity, deque slabs, hash-map buckets survive the in-place
-/// resets), so the carry-forward automatically tracks the high-water mark of
-/// everything the worker has run so far.
+/// Every paper figure is a sweep of independent (config, seed) cells. A
+/// SimArena carries the per-cell storage that measurably pays to keep from
+/// one cell to the next on the same worker (docs/MEMORY.md has the numbers):
+///   - the Router and Nic objects, with their port and VC buffers;
+///   - the ranks (RankCtx) and protocol maps of each Job;
+///   - the packet pool, LinkStats and PacketLog blocks.
+/// A SubmissionQueue worker binds one arena for its lifetime. The first cell
+/// grows the storage; every later cell of a similar shape re-initialises it
+/// in place. The Engine, the MpiSystem and coroutine frames are built fresh
+/// for every cell.
 ///
-/// Reuse is behaviour-preserving by construction: every reset path restores
-/// the exact observable state of a fresh object (pool slot ids are handed
-/// out 0, 1, 2, ... again; engine clocks and sequence numbers restart at 0),
-/// so sweep output is bit-identical with or without an arena — the
-/// regression tests byte-compare pool runs against the same cells run on a
-/// thread with no arena bound.
+/// Reuse is behaviour-preserving by construction: every reinit/reset path
+/// restores the exact observable state of a fresh object (pool slot ids are
+/// handed out 0, 1, 2, ... again), so output is byte-identical with or
+/// without an arena. The tests byte-compare arena runs against the same
+/// cells run with no arena bound.
 ///
 /// Thread-safety: none — an arena belongs to exactly one worker thread, like
 /// the cells it backs.
@@ -41,28 +38,24 @@ namespace dfly {
 /// Reuse counters and high-water marks, reported by the memory bench into
 /// BENCH_memory.json. Peaks are maxima across every cell the arena served.
 struct ArenaStats {
-  std::uint64_t cells{0};           ///< cells that borrowed this arena
-  std::uint64_t router_reuses{0};   ///< router objects recycled in place
-  std::uint64_t router_builds{0};   ///< router objects newly constructed
+  std::uint64_t cells{0};          ///< cells that borrowed this arena
+  std::uint64_t router_reuses{0};  ///< router objects recycled in place
+  std::uint64_t router_builds{0};  ///< router objects newly constructed
   std::uint64_t nic_reuses{0};
   std::uint64_t nic_builds{0};
-  std::uint64_t rank_reuses{0};     ///< RankCtx objects recycled in place
-  std::uint64_t rank_builds{0};     ///< RankCtx objects newly constructed
-  std::size_t engine_peak_events{0};    ///< max concurrently-queued events
-  std::size_t engine_event_capacity{0};  ///< carried key/payload capacity
-  std::size_t closure_peak{0};           ///< max pooled closure slots
-  std::size_t pool_peak_packets{0};      ///< max concurrently-live packets
-  std::size_t pool_capacity{0};          ///< carried packet-slab slots
-  std::size_t inflight_capacity{0};      ///< carried protocol-map slots (per job, max)
-  std::size_t owners_capacity{0};        ///< carried message-routing map slots
-  std::size_t match_capacity{0};         ///< carried match-list slots (per rank, max)
+  std::uint64_t rank_reuses{0};  ///< RankCtx objects recycled in place
+  std::uint64_t rank_builds{0};  ///< RankCtx objects newly constructed
+  std::size_t pool_peak_packets{0};  ///< max concurrently-live packets
+  std::size_t pool_capacity{0};      ///< carried packet-slab slots
+  std::size_t inflight_capacity{0};  ///< carried protocol-map slots (per job, max)
+  std::size_t match_capacity{0};     ///< carried match-list slots (per rank, max)
 };
 
 /// Reusable backing storage for one worker's simulation cells.
 ///
 /// A Study borrows the arena for its lifetime (try_acquire/release): the
-/// engine moves into the Study, and the network storage moves into its
-/// Network. Only one Study can hold an arena at a time — a second concurrent
+/// network storage moves into its Network, and each Job takes a parked
+/// bundle. Only one Study can hold an arena at a time — a second concurrent
 /// Study on the same thread simply runs without reuse.
 class SimArena {
  public:
@@ -88,13 +81,6 @@ class SimArena {
   void release(const void* owner);
   bool in_use() const { return owner_ != nullptr; }
 
-  /// Move the carried engine storage out (already reset; capacity and pooled
-  /// closure slots intact). Pair with return_engine().
-  Engine take_engine();
-  /// Return the engine after a cell: peaks are recorded into stats(), then
-  /// the engine is reset and stored for the next cell.
-  void return_engine(Engine&& engine);
-
   /// Move the carried network storage out. The pool comes back reset; the
   /// router/NIC objects still hold the previous cell's wiring and must be
   /// reinit()-ed before use (Network does this). Pair with return_net().
@@ -110,50 +96,35 @@ class SimArena {
   mpi::JobStorage take_job_storage();
   void return_job_storage(mpi::JobStorage&& storage);
 
-  /// Same lifecycle for MpiSystem's message-routing map.
-  mpi::SystemStorage take_system_storage();
-  void return_system_storage(mpi::SystemStorage&& storage);
-
   /// Reuse bookkeeping hooks for Network's and Job's create-or-recycle loops.
   void count_router(bool reused) { ++(reused ? stats_.router_reuses : stats_.router_builds); }
   void count_nic(bool reused) { ++(reused ? stats_.nic_reuses : stats_.nic_builds); }
   void count_rank(bool reused) { ++(reused ? stats_.rank_reuses : stats_.rank_builds); }
 
-  /// Release every byte of carried storage (engine event heap, packet slabs,
-  /// router/NIC buffers, parked MPI bundles, coroutine-frame freelists) and
-  /// return the arena to its freshly-constructed empty state; stats() and
-  /// the thread binding survive. run_plan() calls this before retrying a
+  /// Release every byte of carried storage (packet slabs, stats blocks,
+  /// router/NIC buffers, parked MPI bundles) and return the arena to its
+  /// freshly-constructed empty state; stats() and the thread binding
+  /// survive. run_plan() calls this before retrying a
   /// cell that failed with std::bad_alloc, so the retry starts from the
   /// smallest footprint the process can offer. No-op while a Study holds the
   /// arena (in_use()).
   void shed();
 
-  /// Coroutine-frame freelist fed from this arena: ScopedArenaBinding binds
-  /// it to the worker thread alongside the arena, so mpi::Task frames share
-  /// the carried-storage lifecycle (see mpi/frame_pool.hpp).
-  mpi::FramePool& frame_pool() { return frame_pool_; }
-  const mpi::FramePool& frame_pool() const { return frame_pool_; }
-
   const ArenaStats& stats() const { return stats_; }
 
-  /// The arena bound to the calling thread (nullptr when none is bound or
-  /// arena reuse is globally disabled). SubmissionQueue binds one per worker;
-  /// Study picks it up automatically.
+  /// The arena bound to the calling thread (nullptr when none is bound).
+  /// SubmissionQueue binds one per worker; Study picks it up automatically.
   static SimArena* current();
 
  private:
   const void* owner_{nullptr};
-  Engine engine_;
   NetStorage net_;
   std::deque<mpi::JobStorage> job_storage_;  ///< parked bundles, FIFO order
-  mpi::SystemStorage system_storage_;
-  mpi::FramePool frame_pool_;
   ArenaStats stats_;
 };
 
 /// RAII binding of an arena to the calling thread (see SimArena::current()).
-/// Also binds the arena's coroutine FramePool. Restores the previous
-/// bindings on destruction, so bindings nest.
+/// Restores the previous binding on destruction, so bindings nest.
 class ScopedArenaBinding {
  public:
   explicit ScopedArenaBinding(SimArena* arena);
@@ -163,7 +134,6 @@ class ScopedArenaBinding {
 
  private:
   SimArena* previous_;
-  mpi::ScopedFramePoolBinding frame_binding_;
 };
 
 }  // namespace dfly

@@ -39,34 +39,20 @@ Study::Study(StudyConfig config, SimArena* arena,
       placer_(blueprint_->topo(), config_.placement, Rng(config_.seed, 0x9 /*placement stream*/),
               &blueprint_->placement_pool()) {
   SimArena* candidate = arena != nullptr ? arena : SimArena::current();
-  if (candidate != nullptr && candidate->try_acquire(this)) {
-    arena_ = candidate;
-    engine_ = arena_->take_engine();
-  }
+  if (candidate != nullptr && candidate->try_acquire(this)) arena_ = candidate;
 }
 
 Study::~Study() {
-  {
-    // Park coroutine frames freed during teardown in the arena's pool. The
-    // binding is a strictly nested scope (not a member), so destroying
-    // several arena-holding Studies on one thread in any order can never
-    // leave the thread-local pool pointer dangling.
-    mpi::ScopedFramePoolBinding frame_binding(arena_ != nullptr ? &arena_->frame_pool()
-                                                                : nullptr);
-    // Tear the cell down in dependency order before returning storage: jobs
-    // and the MPI system reference the network; the network's destructor
-    // hands the router/NIC/pool/stats storage back to the arena.
-    jobs_.clear();
-    traces_.clear();
-    mpi_system_.reset();
-    network_.reset();
-    routing_.reset();
-    motifs_.clear();
-  }
-  if (arena_ != nullptr) {
-    arena_->return_engine(std::move(engine_));
-    arena_->release(this);
-  }
+  // Tear the cell down in dependency order before releasing the arena: jobs
+  // and the MPI system reference the network; the jobs' and the network's
+  // destructors hand their storage back to the arena.
+  jobs_.clear();
+  traces_.clear();
+  mpi_system_.reset();
+  network_.reset();
+  routing_.reset();
+  motifs_.clear();
+  if (arena_ != nullptr) arena_->release(this);
 }
 
 int Study::add_app(const std::string& name, int max_nodes) {
@@ -122,7 +108,7 @@ void Study::build() {
   network_ = std::make_unique<Network>(engine_, *blueprint_, *routing_, num_apps,
                                        config_.seed, config_.observability, arena_);
   if (!config_.faults.empty()) network_->apply_faults(blueprint_->faults());
-  mpi_system_ = std::make_unique<mpi::MpiSystem>(*network_, arena_);
+  mpi_system_ = std::make_unique<mpi::MpiSystem>(*network_);
   int app_id = 0;
   for (auto& pending : pending_) {
     motifs_.push_back(std::move(pending.motif));
@@ -142,10 +128,6 @@ Report Study::run() {
   if (ran_) throw std::logic_error("Study: run() called twice");
   if (pending_.empty()) throw std::logic_error("Study: no jobs added");
   ran_ = true;
-  // Serve coroutine frames from the arena's pool for the whole run (start()
-  // creates one frame per rank; waves recycle frames as the clock advances).
-  // Nested scope, same reasoning as in the destructor.
-  mpi::ScopedFramePoolBinding frame_binding(arena_ != nullptr ? &arena_->frame_pool() : nullptr);
   build();
   for (auto& job : jobs_) job->start();
   // Arm the cooperative watchdog for this run only: a WallDeadlineExceeded

@@ -107,8 +107,8 @@ struct Report {
 ///
 /// Storage reuse: when a SimArena is bound to the calling thread (or passed
 /// explicitly) and not already held by another Study, this Study borrows the
-/// arena's carried storage — engine heap, packet pool, stats blocks,
-/// router/NIC buffers — and returns it on destruction, so a worker's
+/// arena's carried storage — router/NIC buffers, ranks, packet pool, stats
+/// blocks — and returns it on destruction, so a worker's
 /// second-and-later cells re-initialise in place instead of re-growing from
 /// empty. Reuse never changes simulation output (see core/arena.hpp).
 ///

@@ -202,17 +202,6 @@ double Job::injection_rate_gbs() const {
   return static_cast<double>(total_bytes_sent()) / to_ns(elapsed);
 }
 
-MpiSystem::MpiSystem(Network& network, SimArena* arena) : arena_(arena) {
-  if (arena_ != nullptr) owners_ = std::move(arena_->take_system_storage().owners);
-  network.set_sink(*this);
-}
-
-MpiSystem::~MpiSystem() {
-  if (arena_ == nullptr) return;
-  owners_.clear();
-  SystemStorage storage;
-  storage.owners = std::move(owners_);
-  arena_->return_system_storage(std::move(storage));
-}
+MpiSystem::MpiSystem(Network& network) { network.set_sink(*this); }
 
 }  // namespace dfly::mpi

@@ -155,12 +155,10 @@ class Job {
 };
 
 /// Routes network message events to the owning job (several jobs share one
-/// network; message ids are globally unique). With a SimArena, the routing
-/// map's table is recycled across cells like the Jobs' storage.
+/// network; message ids are globally unique).
 class MpiSystem final : public MessageEvents {
  public:
-  explicit MpiSystem(Network& network, SimArena* arena = nullptr);
-  ~MpiSystem() override;
+  explicit MpiSystem(Network& network);
 
   MpiSystem(const MpiSystem&) = delete;
   MpiSystem& operator=(const MpiSystem&) = delete;
@@ -175,7 +173,6 @@ class MpiSystem final : public MessageEvents {
   }
 
  private:
-  SimArena* arena_;
   FlatMap<Job*> owners_;
 };
 

@@ -37,9 +37,4 @@ void MatchList::reset() {
   unexpected_.reset();
 }
 
-void MatchList::reserve(std::size_t posted, std::size_t unexpected) {
-  posted_.reserve(posted);
-  unexpected_.reserve(unexpected);
-}
-
 }  // namespace dfly::mpi

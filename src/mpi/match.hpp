@@ -64,8 +64,6 @@ class MatchList {
   /// Drop every queued entry and restore the freshly-constructed hand-out
   /// order, keeping both pools' slot storage for the next cell.
   void reset();
-  /// Pre-size both pools (used when recycling carries a known peak).
-  void reserve(std::size_t posted, std::size_t unexpected);
   /// Carried slot capacity across both pools (stats/test hook).
   std::size_t capacity() const {
     return posted_.slots.size() + unexpected_.slots.size();
@@ -134,12 +132,6 @@ class MatchList {
         slots[i - 1].next = free;
         free = i - 1;
       }
-    }
-
-    void reserve(std::size_t n) {
-      if (n <= slots.size()) return;
-      slots.resize(n);
-      reset();
     }
   };
 

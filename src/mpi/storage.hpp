@@ -13,15 +13,12 @@
 /// A Job's steady-state footprint — one RankCtx per rank (request slots,
 /// match-list pools, iteration marks), the coroutine task handles, and the
 /// protocol-engine tracking maps — used to be rebuilt from scratch every
-/// cell. These bundles let a SimArena carry that storage across cells the
-/// same way it carries the Engine and the router/NIC buffers: a Job built
-/// with an arena takes a parked bundle, reinit()s the recycled RankCtx
-/// objects in place, and hands everything back (cleared, capacity intact) on
-/// destruction. See core/arena.hpp for the lifecycle rules and
+/// cell. This bundle lets a SimArena carry that storage across cells the
+/// same way it carries the router/NIC buffers: a Job built with an arena
+/// takes a parked bundle, reinit()s the recycled RankCtx objects in place,
+/// and hands everything back (cleared, capacity intact) on destruction. See core/arena.hpp for the lifecycle rules and
 /// docs/ARCHITECTURE.md for the pooled-type checklist.
 namespace dfly::mpi {
-
-class Job;
 
 /// Wire-protocol message classes (Firefly-style eager/rendezvous split).
 enum class MsgKind : std::uint8_t { kEager, kRts, kCts, kRdvData };
@@ -57,11 +54,6 @@ struct JobStorage {
   std::vector<Task> tasks;
   FlatMap<MsgMeta> inflight;
   FlatMap<RdvState> rendezvous;
-};
-
-/// MpiSystem's per-cell storage: the message-id -> owning-job routing map.
-struct SystemStorage {
-  FlatMap<Job*> owners;
 };
 
 }  // namespace dfly::mpi

@@ -1,11 +1,8 @@
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <utility>
-
-#include "mpi/frame_pool.hpp"
 
 namespace dfly::mpi {
 
@@ -15,21 +12,10 @@ namespace dfly::mpi {
 /// instead of the explicit state machines SST/Ember uses — same semantics,
 /// far clearer wavefront/collective code. Tasks are lazy (started by the
 /// Job), support nesting via symmetric transfer, and return nothing.
-///
-/// Frame storage: the promise's operator new routes through the FramePool
-/// bound to the current thread (fed from the worker's SimArena), so a
-/// steady-state cell recycles the previous cell's coroutine frames instead
-/// of hitting the heap once per rank wave. Pool-less threads fall back to
-/// plain heap frames; behaviour is identical either way.
+/// Frames come from the global allocator.
 class [[nodiscard]] Task {
  public:
   struct promise_type {
-    static void* operator new(std::size_t size) { return FramePool::allocate(size); }
-    static void operator delete(void* frame) noexcept { FramePool::deallocate(frame); }
-    static void operator delete(void* frame, std::size_t) noexcept {
-      FramePool::deallocate(frame);
-    }
-
     std::coroutine_handle<> continuation{};
 
     Task get_return_object() {

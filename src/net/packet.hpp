@@ -91,9 +91,11 @@ class PacketPool {
   void release(const Packet& p) { free_.push_back(p.id); }
 
   /// Return every slot to the free list, keeping the chunk storage. The free
-  /// list is rebuilt descending so the next allocations draw ids 0, 1, 2, ...
-  /// — byte-identical behaviour to a freshly-constructed pool. Zeroes the
-  /// per-cell peak counter.
+  /// list is rebuilt from scratch because a cell stopped by its time limit or
+  /// the watchdog tears down with packets in flight that are never released:
+  /// the rebuild takes those slots back, so the next cell does not grow the
+  /// pool. It runs descending, so the next allocations draw ids 0, 1, 2, ...
+  /// like a fresh pool. Zeroes the per-cell peak counter.
   void reset() {
     free_.clear();
     free_.reserve(size_);
@@ -101,17 +103,6 @@ class PacketPool {
       free_.push_back(static_cast<std::uint32_t>(id));
     }
     peak_in_use_ = 0;
-  }
-
-  /// Grow the storage to at least `slots` packets. Only meaningful on an idle
-  /// pool (nothing in flight); call right after reset().
-  void reserve(std::size_t slots) {
-    while (size_ < slots) {
-      const std::uint32_t id = size_++;
-      if ((id & (kChunkSize - 1)) == 0) grow_chunk(id >> kChunkShift);
-      dir_[id >> kChunkShift][id & (kChunkSize - 1)].id = id;
-    }
-    reset();
   }
 
   Packet& get(std::uint32_t id) { return dir_[id >> kChunkShift][id & (kChunkSize - 1)]; }

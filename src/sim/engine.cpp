@@ -43,8 +43,6 @@ class Engine::Closure final : public Component {
 
 Engine::Engine() = default;
 Engine::~Engine() = default;
-Engine::Engine(Engine&& other) noexcept = default;
-Engine& Engine::operator=(Engine&& other) noexcept = default;
 
 void Engine::schedule_at(SimTime when, Component& target, std::uint32_t kind,
                          std::uint64_t a, std::uint64_t b) {
@@ -89,34 +87,6 @@ std::size_t Engine::EventQueue::home_slot(SimTime delay) {
 
 Engine::EventQueue::EventQueue() { reset_lanes(); }
 
-Engine::EventQueue::EventQueue(EventQueue&& other) noexcept { *this = std::move(other); }
-
-Engine::EventQueue& Engine::EventQueue::operator=(EventQueue&& other) noexcept {
-  if (this == &other) return *this;
-  heap_keys_ = std::move(other.heap_keys_);
-  heap_loads_ = std::move(other.heap_loads_);
-  slabs_ = std::move(other.slabs_);
-  lanes_ = other.lanes_;
-  head_key_ = other.head_key_;
-  head_lane_ = other.head_lane_;
-  heads_ = other.heads_;
-  slot_delay_ = other.slot_delay_;
-  slot_lane_ = other.slot_lane_;
-  empty_lanes_ = other.empty_lanes_;
-  bound_lanes_ = other.bound_lanes_;
-  lane_events_ = other.lane_events_;
-  slab_ = other.slab_;
-  slab_pos_ = other.slab_pos_;
-  free_blocks_ = other.free_blocks_;
-  // The lanes' block pointers now belong to *this: leave `other` empty and
-  // storage-free rather than aliasing them.
-  other.heap_keys_.clear();
-  other.heap_loads_.clear();
-  other.slabs_.clear();
-  other.reset_lanes();
-  return *this;
-}
-
 void Engine::EventQueue::reset_lanes() {
   lanes_.fill(Lane{});
   head_key_.fill(kNoKey);
@@ -134,21 +104,6 @@ void Engine::EventQueue::clear() {
   heap_keys_.clear();
   heap_loads_.clear();
   reset_lanes();
-}
-
-std::size_t Engine::EventQueue::capacity() const {
-  return heap_keys_.capacity() + pooled_blocks() * kBlockEvents;
-}
-
-void Engine::EventQueue::reserve(std::size_t events) {
-  if (heap_keys_.capacity() < events) {
-    heap_keys_.reserve(events);
-    heap_loads_.reserve(events);
-  }
-  // A lane holding n events spans at most n / kBlockEvents + 2 blocks (a
-  // partly-popped head and a partly-filled tail), and an empty bound lane
-  // keeps one block: that bounds the pool whatever the delay mix.
-  while (pooled_blocks() < events / kBlockEvents + 2 * kLanes) add_slab();
 }
 
 void Engine::EventQueue::add_slab() {
@@ -417,28 +372,6 @@ void Engine::clear() {
     free_closure_slots_.push_back(static_cast<std::uint32_t>(slot));
   }
   live_closures_ = 0;
-}
-
-void Engine::reset() {
-  clear();
-  now_ = 0;
-  next_seq_ = 0;
-  executed_ = 0;
-  peak_queued_ = 0;
-  has_wall_deadline_ = false;
-  deadline_stride_ = 0;
-  stats_ = EngineStats{};
-}
-
-void Engine::reserve(std::size_t events, std::size_t closures) {
-  queue_.reserve(events);
-  const std::size_t old_size = closures_.size();
-  while (closures_.size() < closures) closures_.push_back(std::make_unique<Closure>());
-  // Append the new slots descending so they pop lowest-first — the same
-  // fresh-engine hand-out order clear()/reset() maintain.
-  for (std::size_t slot = closures_.size(); slot-- > old_size;) {
-    free_closure_slots_.push_back(static_cast<std::uint32_t>(slot));
-  }
 }
 
 }  // namespace dfly

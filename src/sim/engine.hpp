@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -80,14 +81,12 @@ class Engine {
   Engine();
   ~Engine();
 
-  // Movable (so a per-worker arena can lend its storage to the current cell
-  // and take it back afterwards) but not copyable. Pending events hold raw
-  // Component pointers, so only idle engines should be moved in practice;
-  // the arena moves them empty.
-  Engine(Engine&& other) noexcept;
-  Engine& operator=(Engine&& other) noexcept;
+  // Neither copyable nor movable: the queue's lanes hold raw pointers into
+  // its own block slabs, and components hold references to their engine.
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+  Engine(Engine&&) = delete;
+  Engine& operator=(Engine&&) = delete;
 
   SimTime now() const { return now_; }
 
@@ -140,27 +139,12 @@ class Engine {
   /// their pooled slot adapters are kept for reuse.
   void clear();
 
-  /// Return the engine to its just-constructed state — clock at 0, sequence
-  /// and executed counters zeroed, queue empty — while KEEPING every piece of
-  /// backing storage: the lane blocks, the overflow heap's key/payload
-  /// arrays, and the pooled closure slots with their free list. A reused
-  /// engine therefore replays a same-shape cell without re-growing from
-  /// empty (see core/arena.hpp). Per-cell peak counters are zeroed too.
-  void reset();
-
-  /// Pre-size the queue for `events` concurrently-pending events, however
-  /// they spread over lanes and overflow heap, and pool `closures` slot
-  /// adapters, so a run that stays within these bounds never allocates from
-  /// schedule_at/call_at.
-  void reserve(std::size_t events, std::size_t closures = 0);
-
   /// Arm a cooperative wall-clock watchdog: run() checks the real clock every
   /// kDeadlineStride events and throws WallDeadlineExceeded once `deadline`
   /// has passed, so a simulation stuck in a pathological state (livelocked
   /// protocol, runaway event chain) is abandoned in bounded real time instead
   /// of hung on. The check costs one predictable branch per event when armed
-  /// and nothing measurable when not. clear_wall_deadline() (and reset())
-  /// disarm it.
+  /// and nothing measurable when not. clear_wall_deadline() disarms it.
   void set_wall_deadline(std::chrono::steady_clock::time_point deadline) {
     wall_deadline_ = deadline;
     has_wall_deadline_ = true;
@@ -180,18 +164,12 @@ class Engine {
   /// (test hook for the reclamation guarantee).
   std::size_t live_closures() const { return live_closures_; }
 
-  /// Per-event-kind schedule/execute counters since construction or the last
-  /// reset(). Observability only — never part of a simulation report.
+  /// Per-event-kind schedule/execute counters since construction.
+  /// Observability only — never part of a simulation report.
   const EngineStats& stats() const { return stats_; }
 
-  /// High-water mark of concurrently-queued events since construction or the
-  /// last reset() (sizes the next cell's reserve carry-forward).
+  /// High-water mark of concurrently-queued events since construction.
   std::size_t peak_queued() const { return peak_queued_; }
-  /// Event slots the queue owns: the overflow heap's key/payload capacity
-  /// plus every pooled lane-block slot. reserve(n) makes this at least n.
-  std::size_t event_capacity() const { return queue_.capacity(); }
-  /// Pooled closure slot adapters (live + free).
-  std::size_t closure_capacity() const { return closures_.size(); }
 
  private:
   /// Ordering key: (when, seq) packed into one 128-bit integer, `when` in
@@ -223,9 +201,8 @@ class Engine {
   /// Pending events in exact (when, seq) order: FIFO lanes keyed by delay,
   /// merged by a heap of lane heads, in front of a 4-ary overflow heap (see
   /// the class comment). Lane storage is fixed-size blocks carved from
-  /// engine-owned slabs; clear() hands every block back, so an engine that
-  /// replays a same-shape cell draws the same blocks again without
-  /// allocating.
+  /// engine-owned slabs; clear() hands every block back, so later events
+  /// draw the same blocks again without allocating.
   class EventQueue {
    public:
     /// Lanes, i.e. distinct delays that can be pending outside the heap at
@@ -238,10 +215,9 @@ class Engine {
     static constexpr std::size_t kBlockEvents = 16;
 
     EventQueue();
-    // Lanes hold raw pointers into slabs_, so a move must empty the source
-    // (see operator=); copying is implicitly deleted.
-    EventQueue(EventQueue&& other) noexcept;
-    EventQueue& operator=(EventQueue&& other) noexcept;
+    // Lanes hold raw pointers into slabs_: a copy or move would alias them.
+    EventQueue(const EventQueue&) = delete;
+    EventQueue& operator=(const EventQueue&) = delete;
 
     std::size_t size() const { return heap_keys_.size() + lane_events_; }
     /// Key of the next event; greater than every real key when empty.
@@ -257,8 +233,6 @@ class Engine {
     /// Remove and return the next event; the queue must not be empty.
     Entry pop_front();
     void clear();
-    void reserve(std::size_t events);
-    std::size_t capacity() const;
 
     /// Greater than any real key: event times never reach 2^64 - 1.
     static constexpr HeapKey kNoKey = ~HeapKey{0};
@@ -300,10 +274,6 @@ class Engine {
     void sift_head_down(std::size_t lane, HeapKey key);
     Block* take_block();
     void add_slab();
-    /// Blocks in every slab so far: slab k holds kLanes << k of them.
-    std::size_t pooled_blocks() const {
-      return kLanes * ((std::size_t{1} << slabs_.size()) - 1);
-    }
     /// Drop every event and binding; blocks stay pooled in the slabs.
     void reset_lanes();
 
@@ -356,7 +326,7 @@ class Engine {
   EventQueue queue_;
   // Pooled one-shot closure adapters: slots are created on demand, disarmed
   // (capture destroyed) when they fire, and re-armed from the free list —
-  // the adapter objects themselves persist across firings and reset().
+  // the adapter objects themselves persist across firings and clear().
   std::vector<std::unique_ptr<Closure>> closures_;
   std::vector<std::uint32_t> free_closure_slots_;
   std::size_t live_closures_{0};
@@ -370,5 +340,8 @@ class Engine {
   std::uint32_t deadline_stride_{0};
   bool has_wall_deadline_{false};
 };
+
+static_assert(!std::is_move_constructible_v<Engine>,
+              "an Engine must not move: its queue's lanes point into its own slabs");
 
 }  // namespace dfly

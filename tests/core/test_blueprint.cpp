@@ -1,9 +1,8 @@
 // Tests for the immutable SystemBlueprint (core/blueprint.hpp): key/hash
 // semantics, build purity, the concurrent cache's hit/miss behaviour, Study
 // integration (explicit / thread-bound / private resolution and the shape
-// check), byte-identical output with sharing on vs off, the dirty-state fuzz
-// (deliberately different cell shapes through ONE cache), and the coroutine
-// FramePool's recycle counters.
+// check), byte-identical output with sharing on vs off, and the dirty-state
+// fuzz (deliberately different cell shapes through ONE cache).
 
 #include "core/blueprint.hpp"
 
@@ -508,51 +507,6 @@ TEST(StudyBlueprint, DirtyStateFuzzAcrossShapesThroughOneCache) {
         << "cell " << i << " (" << cells[i].app << " on " << cells[i].config.routing
         << ", seed " << cells[i].config.seed << ") diverged under blueprint sharing";
   }
-}
-
-// --- coroutine frame pool ----------------------------------------------------
-
-TEST(FramePool, UnboundByDefault) { EXPECT_EQ(mpi::FramePool::current(), nullptr); }
-
-TEST(FramePool, ArenaBindingRecyclesFramesAcrossCells) {
-  SimArena arena;
-  const StudyConfig config = tiny_config("MIN", 3);
-  {
-    ScopedArenaBinding binding(&arena);
-    EXPECT_EQ(mpi::FramePool::current(), &arena.frame_pool());
-    run_cell(config, "UR", 32);
-  }
-  const std::uint64_t built_first = arena.frame_pool().frames_built();
-  EXPECT_GT(built_first, 0u);          // first cell had to build its frames
-  EXPECT_GT(arena.frame_pool().parked_blocks(), 0u);  // ...and parked them
-  EXPECT_GT(arena.frame_pool().parked_bytes(), 0u);
-  {
-    ScopedArenaBinding binding(&arena);
-    run_cell(config, "UR", 32);
-  }
-  EXPECT_GT(arena.frame_pool().frames_recycled(), 0u);
-  // The same-shape second cell re-uses the first cell's frames instead of
-  // growing the pool.
-  EXPECT_EQ(arena.frame_pool().frames_built(), built_first);
-}
-
-TEST(FramePool, PoolLessAllocationRoundTrips) {
-  // With no pool bound, promise frames fall back to the plain heap; the
-  // deallocation path must accept such frames (bucket 0 tag).
-  ASSERT_EQ(mpi::FramePool::current(), nullptr);
-  void* frame = mpi::FramePool::allocate(256);
-  ASSERT_NE(frame, nullptr);
-  mpi::FramePool::deallocate(frame);
-
-  // And a pool-built frame may be freed after its pool unbinds.
-  mpi::FramePool pool;
-  void* pooled = nullptr;
-  {
-    mpi::ScopedFramePoolBinding binding(&pool);
-    pooled = mpi::FramePool::allocate(256);
-    ASSERT_NE(pooled, nullptr);
-  }
-  mpi::FramePool::deallocate(pooled);  // no pool bound: plain-freed
 }
 
 }  // namespace

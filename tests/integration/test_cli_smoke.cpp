@@ -214,6 +214,31 @@ TEST(CliSmoke, FlagsOutsideTheirModeAreRejectedNamingTheFlag) {
   std::remove(err_path.c_str());
 }
 
+// A sweep runs its cells through a plan and writes no per-cell side files,
+// so --csv and --trace under --sweep are rejected at parse time instead of
+// being dropped, and nothing is written.
+TEST(CliSmoke, SweepRejectsCsvAndTraceNamingBothFlags) {
+  const std::filesystem::path dir = temp_json_path() + ".sweep_side";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string err_path = temp_json_path() + ".sweep_stderr";
+  for (const char* side : {"--csv=sw", "--trace=0:tr.csv", "--csv=sw --trace=0:tr.csv"}) {
+    const std::string command = "cd " + dir.string() + " && " + DFSIM_CLI_PATH +
+                                " --app=UR:64 --scale=64 --sweep=2 " + side + " > /dev/null 2> " +
+                                err_path;
+    const int status = std::system(command.c_str());
+    EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 1) << side;
+    const std::string err = slurp(err_path);
+    const std::string first_line = err.substr(0, err.find('\n'));
+    for (const char* flag : {"--csv", "--trace", "--sweep"}) {
+      EXPECT_TRUE(names_flag(first_line, flag)) << side << ": " << err;
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "a rejected sweep wrote into " << dir;
+  std::filesystem::remove_all(dir);
+  std::remove(err_path.c_str());
+}
+
 // Every `dflysim --...` command line in the user docs must use flags that
 // --help lists, and must get past the mode check: `--help` appended at the
 // end exits 0 only if every flag before it belongs to the chosen mode.

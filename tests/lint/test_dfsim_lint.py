@@ -36,6 +36,8 @@ EXPECTED_BAD = {
     ("src/core/entropy.cpp", 11, "det-rand"),   # std::rand
     ("src/core/entropy.cpp", 16, "det-env"),    # std::getenv
     ("src/core/entropy.cpp", 17, "det-env"),    # secure_getenv
+    ("src/mpi/frame_cache.cpp", 7, "det-tls"),  # namespace-scope thread_local
+    ("src/mpi/frame_cache.cpp", 10, "det-tls"),  # function-local static thread_local
     ("src/core/pointer_key.hpp", 12, "det-pointer-key"),  # map<Node*, ...>
     ("src/core/pointer_key.hpp", 13, "det-pointer-key"),  # unordered_set<const Node*>
     ("src/core/pointer_key.hpp", 14, "det-pointer-key"),  # std::hash<Node*>

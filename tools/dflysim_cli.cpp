@@ -327,6 +327,8 @@ CliOptions parse_cli(int argc, char** argv) {
        "--resume needs --jsonl=FILE (a real file, not '-'): it is continued in place"},
       {options.resume && !options.plan_csv_path.empty(),
        "--resume does not combine with --plan-csv (a CSV cannot be resumed)"},
+      {options.sweep > 1 && (!options.csv_prefix.empty() || options.trace_app >= 0),
+       "--csv and --trace write one cell's files and do not combine with --sweep"},
   };
   for (const auto& [broken, message] : rules) {
     if (broken) usage_error(message);
@@ -334,18 +336,20 @@ CliOptions parse_cli(int argc, char** argv) {
   return options;
 }
 
-Report run_once(const CliOptions& options, std::uint64_t seed, bool side_outputs) {
+/// One cell at `seed`, writing --trace and --csv files when they are given
+/// (parse_cli rejects both under --sweep).
+Report run_once(const CliOptions& options, std::uint64_t seed) {
   StudyConfig config = options.config;
   config.seed = seed;
   Study study(std::move(config));
   for (const AppSpec& spec : options.apps) study.add_app(spec.name, spec.nodes);
-  if (side_outputs && options.trace_app >= 0) study.record_trace(options.trace_app);
+  if (options.trace_app >= 0) study.record_trace(options.trace_app);
   const Report report = study.run();
-  if (side_outputs && options.trace_app >= 0) {
+  if (options.trace_app >= 0) {
     study.trace(options.trace_app).save_csv(options.trace_path);
     std::fprintf(stderr, "wrote %s\n", options.trace_path.c_str());
   }
-  if (side_outputs && !options.csv_prefix.empty()) {
+  if (!options.csv_prefix.empty()) {
     study.write_csv(options.csv_prefix);
     std::fprintf(stderr, "wrote %s_{apps,congestion,stall}.csv\n", options.csv_prefix.c_str());
   }
@@ -567,7 +571,7 @@ void write_json(const std::string& path, const std::string& json) {
 }
 
 int run_single(const CliOptions& options) {
-  const Report report = run_once(options, options.config.seed, /*side_outputs=*/true);
+  const Report report = run_once(options, options.config.seed);
   print_table(report);
   write_json(options.json_path, report_to_json(report));
   return report.completed ? 0 : 2;
@@ -582,7 +586,7 @@ int run_sweep(const CliOptions& options) {
   plan.mode = PlanMode::kCustom;
   plan.seeds = SeedSweep(options.config.seed, options.sweep).seeds();
   plan.custom = [&options](const PlanCell& cell) {
-    return run_once(options, cell.config.seed, false);
+    return run_once(options, cell.config.seed);
   };
   CollectSink sink;
   const PlanOutcome outcome = run_plan(plan, sink, options.jobs);

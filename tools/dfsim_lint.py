@@ -14,9 +14,10 @@ general-purpose tool enforces:
  * **Byte-identical determinism** (ROADMAP north star, docs/ARCHITECTURE.md):
    nothing under ``src/`` may consult ambient entropy (``std::rand``,
    ``random_device``), read environment variables outside the worker-count
-   default, read wall clocks outside the watchdog, key ordered or
-   hashed containers by pointer value (addresses differ run to run), or
-   iterate an unordered container in a way that can reach simulation output.
+   default, read wall clocks outside the watchdog, keep ``thread_local``
+   state outside the two worker bindings, key ordered or hashed containers
+   by pointer value (addresses differ run to run), or iterate an unordered
+   container in a way that can reach simulation output.
 
  * **Routing const/mutable split** (core/blueprint.hpp): a routing policy's
    data members are either immutable parameterisation (``const``, captured by
@@ -57,6 +58,13 @@ ALLOW_DET_CLOCK = {
     "src/sim/engine.hpp": "the cooperative wall-clock watchdog is the one sanctioned "
     "steady_clock consumer; it aborts runs, it never feeds output bytes",
     "src/core/study.cpp": "arms the engine watchdog from StudyConfig::wall_limit_s",
+}
+
+ALLOW_DET_TLS = {
+    "src/core/arena.cpp": "the worker's SimArena binding; ScopedArenaBinding restores the "
+    "previous value on scope exit, and every reuse path restores fresh observable state",
+    "src/core/blueprint.cpp": "the worker's BlueprintCache binding; the cache hands out "
+    "immutable blueprints, so no cell can change what the next one reads",
 }
 
 ALLOW_DET_ENV = {
@@ -273,6 +281,30 @@ def rule_det_env(src: SourceFile) -> list[Finding]:
     return findings
 
 
+TLS_RE = re.compile(r"\bthread_local\b")
+
+
+def rule_det_tls(src: SourceFile) -> list[Finding]:
+    """det-tls: thread_local state under src/ outside the worker-binding allowlist."""
+    if src.rel in ALLOW_DET_TLS:
+        return []
+    findings = []
+    for no, code in enumerate(src.code_lines, 1):
+        if TLS_RE.search(code) and not src.suppressed(no, "det-tls"):
+            findings.append(
+                Finding(
+                    src.rel,
+                    no,
+                    "det-tls",
+                    "hidden per-thread state outlives the cell that set it, so one "
+                    "cell's state can reach the next cell on the same worker. Pass "
+                    "the state explicitly through the Study, or add a justified "
+                    "allowlist entry in tools/dfsim_lint.py",
+                )
+            )
+    return findings
+
+
 # A pointer type as the KEY of an ordered/hashed container, or std::hash over
 # a pointer: iteration/compare order then depends on allocation addresses.
 PTR_KEY_RE = re.compile(
@@ -409,6 +441,7 @@ RULES = {
     "det-rand": rule_det_rand,
     "det-clock": rule_det_clock,
     "det-env": rule_det_env,
+    "det-tls": rule_det_tls,
     "det-pointer-key": rule_det_pointer_key,
     "det-unordered-iter": rule_det_unordered_iter,
     "routing-state": rule_routing_state,
