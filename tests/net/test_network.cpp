@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -63,13 +64,49 @@ TEST(Network, PacketPayloadTailIsShort) {
   EXPECT_EQ(records[0].bytes + records[1].bytes, 1000);
 }
 
+/// Records every lifecycle callback in order, with the simulated time it
+/// fired at.
+class TimedSink final : public MessageEvents {
+ public:
+  struct Call {
+    bool delivered;
+    std::uint64_t id;
+    SimTime when;
+  };
+  explicit TimedSink(const Engine& engine) : engine_(engine) {}
+  void message_sent(std::uint64_t id) override { calls.push_back({false, id, engine_.now()}); }
+  void message_delivered(std::uint64_t id) override {
+    calls.push_back({true, id, engine_.now()});
+  }
+  std::vector<Call> calls;
+
+ private:
+  const Engine& engine_;
+};
+
+// A self-send never touches the wire: it costs one engine event, one
+// packet's serialisation after the send, and reports sent before delivered.
 TEST(Network, SelfSendBypassesNetwork) {
-  NetFixture f;
-  f.net->send_message(3, 3, 512, 0);
-  f.engine.run();
-  EXPECT_EQ(f.sink.sent.size(), 1u);
-  EXPECT_EQ(f.sink.delivered.size(), 1u);
-  EXPECT_EQ(f.net->packet_log().delivered_packets(0), 0u);  // no wire traffic
+  for (const std::int64_t bytes : {std::int64_t{512}, std::int64_t{5000}}) {
+    SCOPED_TRACE(bytes);
+    NetFixture f;
+    TimedSink sink(f.engine);
+    f.net->set_sink(sink);
+    const std::uint64_t executed_before = f.engine.executed();
+    const std::uint64_t id = f.net->send_message(3, 3, bytes, 0);
+    f.engine.run();
+    EXPECT_EQ(f.engine.executed() - executed_before, 1u);
+    const SimTime expected =
+        f.cfg.serialization(static_cast<int>(std::min<std::int64_t>(bytes, f.cfg.packet_bytes)));
+    ASSERT_EQ(sink.calls.size(), 2u);
+    EXPECT_FALSE(sink.calls[0].delivered);
+    EXPECT_TRUE(sink.calls[1].delivered);
+    EXPECT_EQ(sink.calls[0].id, id);
+    EXPECT_EQ(sink.calls[1].id, id);
+    EXPECT_EQ(sink.calls[0].when, expected);
+    EXPECT_EQ(sink.calls[1].when, expected);
+    EXPECT_EQ(f.net->packet_log().delivered_packets(0), 0u);  // no wire traffic
+  }
 }
 
 /// The MIN path from `src` to `dst` node as (router, output port) pairs,
