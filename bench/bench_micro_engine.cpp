@@ -4,12 +4,12 @@
 //
 // Each BM_Engine<X> has a BM_Legacy<X> twin on the seed implementation's
 // event queue (std::push_heap/std::pop_heap binary heap, one pop per event),
-// so the Engine's queue — delay lanes merged by a winner tree in front of a
-// 4-ary overflow heap — is *measured* against its predecessor, not asserted:
-// compare items_per_second on the same workload. NetworkDelays draws delays
-// from the mix a paper cell schedules (seven NetConfig sums carry ~97%);
-// RandomHeap and SteadyState draw every delay at random, the lanes' worst
-// case, where nearly all events take the overflow heap.
+// so the Engine's queue — delay lanes merged by a binary heap of lane heads,
+// in front of a 4-ary overflow heap — is *measured* against its predecessor,
+// not asserted: compare items_per_second on the same workload. NetworkDelays
+// draws delays from the mix a paper cell schedules (seven NetConfig sums
+// carry ~97%); RandomHeap and SteadyState draw every delay at random, the
+// lanes' worst case, where nearly all events take the overflow heap.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

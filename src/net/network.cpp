@@ -115,7 +115,6 @@ void Network::apply_faults(const FaultPlan& plan) {
 }
 
 void Network::set_sink(MessageEvents& sink) {
-  sink_ = &sink;
   for (auto& nic : nics_) nic->set_sink(&sink);
 }
 
@@ -123,18 +122,14 @@ std::uint64_t Network::send_message(int src_node, int dst_node, std::int64_t byt
   assert(bytes >= 1);
   const std::uint64_t msg_id = next_msg_id_++;
   if (src_node == dst_node) {
-    // Local (intra-node) message: no network involvement. Completes after a
-    // memcpy-like delay at link rate so timing stays monotone.
+    // Local (intra-node) message: no network involvement. The sending NIC
+    // reports it sent and delivered after a memcpy-like delay at link rate,
+    // so timing stays monotone.
     const SimTime delay = cfg_->serialization(static_cast<int>(bytes > cfg_->packet_bytes
                                                                    ? cfg_->packet_bytes
                                                                    : bytes));
-    MessageEvents* sink = sink_;
-    engine_->call_in(delay, [sink, msg_id] {
-      if (sink != nullptr) {
-        sink->message_sent(msg_id);
-        sink->message_delivered(msg_id);
-      }
-    });
+    engine_->schedule_in(delay, *nics_[static_cast<std::size_t>(src_node)], nic_ev::kLocalDone,
+                         msg_id);
     return msg_id;
   }
   nics_[static_cast<std::size_t>(dst_node)]->expect_message(msg_id, bytes);

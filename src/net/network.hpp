@@ -102,7 +102,6 @@ class Network final : public NicDirectory {
   TrafficClassMap traffic_classes_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  MessageEvents* sink_{nullptr};
   std::uint64_t next_msg_id_{1};
 };
 

@@ -79,6 +79,12 @@ void Nic::handle(Engine& engine, const Event& event) {
     case nic_ev::kSendDone:
       if (sink_ != nullptr) sink_->message_sent(event.a);
       break;
+    case nic_ev::kLocalDone:
+      if (sink_ != nullptr) {
+        sink_->message_sent(event.a);
+        sink_->message_delivered(event.a);
+      }
+      break;
     case nic_ev::kEcnNotice:
       on_ecn_notice(engine);
       break;

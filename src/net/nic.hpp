@@ -21,9 +21,10 @@ namespace nic_ev {
 inline constexpr std::uint32_t kArrive = 1;      ///< a = packet id (ejection)
 inline constexpr std::uint32_t kTryInject = 2;   ///< try to put the next packet on the wire
 inline constexpr std::uint32_t kCredit = 3;      ///< injection credit returned by the router
-inline constexpr std::uint32_t kSendDone = 4;    ///< a,b = msg id halves: tail flit left the NIC
+inline constexpr std::uint32_t kSendDone = 4;    ///< a = msg id: tail flit left the NIC
 inline constexpr std::uint32_t kEcnNotice = 5;   ///< congestion notification reached the source
 inline constexpr std::uint32_t kRateRecover = 6; ///< AIMD additive-increase tick
+inline constexpr std::uint32_t kLocalDone = 7;   ///< a = msg id: self-send sent and delivered
 }  // namespace nic_ev
 
 /// Listener for message lifecycle events (implemented by the MPI layer).

@@ -2,47 +2,8 @@
 
 #include <bit>
 #include <cassert>
-#include <utility>
 
 namespace dfly {
-
-/// Adapter that lets InlineFn callbacks ride the component event path.
-/// One-shot but pooled: handle() disarms the owning slot (destroying the
-/// capture) before invoking the callback, so the callback itself may arm new
-/// closures (possibly reusing this very slot) or clear() the engine; the
-/// adapter object survives for the next call_at to re-arm without a heap
-/// allocation.
-class Engine::Closure final : public Component {
- public:
-  Closure() = default;
-
-  void arm(InlineFn fn, std::uint32_t slot) {
-    fn_ = std::move(fn);
-    slot_ = slot;
-    armed_ = true;
-  }
-  void disarm() {
-    fn_ = nullptr;  // destroy the capture now, not at the next re-arm
-    armed_ = false;
-  }
-  // armed_ is a separate flag because handle() moves fn_ out before the slot
-  // is released — the function's own emptiness can't double as liveness.
-  bool armed() const { return armed_; }
-
-  void handle(Engine& engine, const Event&) override {
-    InlineFn fn = std::move(fn_);
-    engine.release_closure(slot_);  // disarms *this; only locals below
-    fn();
-  }
-
- private:
-  InlineFn fn_;
-  std::uint32_t slot_{0};
-  bool armed_{false};
-};
-
-Engine::Engine() = default;
-Engine::~Engine() = default;
 
 void Engine::schedule_at(SimTime when, Component& target, std::uint32_t kind,
                          std::uint64_t a, std::uint64_t b) {
@@ -50,29 +11,6 @@ void Engine::schedule_at(SimTime when, Component& target, std::uint32_t kind,
   ++stats_.scheduled_by_kind[EngineStats::slot(kind)];
   queue_.push(when - now_, make_key(when, next_seq_++), Payload{&target, kind, a, b});
   note_queued();
-}
-
-void Engine::call_at(SimTime when, InlineFn fn) {
-  std::uint32_t slot;
-  if (free_closure_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(closures_.size());
-    closures_.push_back(std::make_unique<Closure>());
-  } else {
-    slot = free_closure_slots_.back();
-    free_closure_slots_.pop_back();
-  }
-  closures_[slot]->arm(std::move(fn), slot);
-  ++live_closures_;
-  schedule_at(when, *closures_[slot], 0);
-}
-
-void Engine::release_closure(std::uint32_t slot) {
-  // clear() may have disarmed everything while the closure body ran; a slot
-  // that is no longer armed must not be pushed onto the free list twice.
-  if (slot >= closures_.size() || !closures_[slot] || !closures_[slot]->armed()) return;
-  closures_[slot]->disarm();
-  free_closure_slots_.push_back(slot);
-  --live_closures_;
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +270,6 @@ void Engine::dispatch(const Entry& entry) {
   entry.load.target->handle(*this, event);
 }
 
-std::optional<SimTime> Engine::next_event_time() const {
-  if (queue_.size() == 0) return std::nullopt;
-  return key_when(queue_.front_key());
-}
-
-bool Engine::step() {
-  if (queue_.size() == 0) return false;
-  dispatch(queue_.pop_front());
-  return true;
-}
-
 std::uint64_t Engine::run(SimTime until) {
   if (until < 0) return 0;  // event times are never negative
   const HeapKey limit = make_key(until, ~std::uint64_t{0});
@@ -358,20 +285,6 @@ std::uint64_t Engine::run(SimTime until) {
   // Time only advances with events: when the queue drains before `until`,
   // now() stays at the last executed event (see header).
   return count;
-}
-
-void Engine::clear() {
-  queue_.clear();
-  // Disarm every pending closure (destroying captures) but keep the pooled
-  // adapters; rebuild the free list from scratch so no slot appears twice.
-  // Descending order makes a cleared engine hand out slots 0, 1, 2, ... again
-  // exactly like a fresh one.
-  free_closure_slots_.clear();
-  for (std::size_t slot = closures_.size(); slot-- > 0;) {
-    closures_[slot]->disarm();
-    free_closure_slots_.push_back(static_cast<std::uint32_t>(slot));
-  }
-  live_closures_ = 0;
 }
 
 }  // namespace dfly

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
 namespace dfly {
@@ -76,10 +74,7 @@ class WallDeadlineExceeded : public std::runtime_error {
 /// run one Engine per worker-owned cell and never share one across threads.
 class Engine {
  public:
-  // Special members are out-of-line: closures_ holds unique_ptrs to the
-  // nested Closure type, which is only complete inside engine.cpp.
-  Engine();
-  ~Engine();
+  Engine() = default;
 
   // Neither copyable nor movable: the queue's lanes hold raw pointers into
   // its own block slabs, and components hold references to their engine.
@@ -100,16 +95,6 @@ class Engine {
     schedule_at(now_ + delay, target, kind, a, b);
   }
 
-  /// Schedule an owned closure. The closure is one-shot: its slot is
-  /// recycled as soon as it fires, so periodic call_in chains do not
-  /// accumulate memory over a long run. Slot adapters themselves are pooled
-  /// and the callback lives in an InlineFn, so once the engine has grown to a
-  /// cell's peak concurrent-closure count, re-arming a slot performs no heap
-  /// allocation for any capture up to InlineFn::kInlineBytes (larger ones
-  /// fall back to one heap block per arm).
-  void call_at(SimTime when, InlineFn fn);
-  void call_in(SimTime delay, InlineFn fn) { call_at(now_ + delay, std::move(fn)); }
-
   /// Run until the queue is empty or `until` is passed. Returns the number
   /// of events executed. Events at exactly `until` are executed.
   ///
@@ -123,21 +108,13 @@ class Engine {
   /// leaves every later event queued for the next run().
   std::uint64_t run(SimTime until = kSec * 3600);
 
-  /// Execute at most one event; returns false when the queue is empty.
-  bool step();
-
   bool empty() const { return queued() == 0; }
   std::size_t queued() const { return queue_.size(); }
   std::uint64_t executed() const { return executed_; }
 
-  /// Timestamp of the earliest pending event, or nullopt when none is queued.
-  std::optional<SimTime> next_event_time() const;
-
-  /// Drop every pending event (used by tests and by teardown). Safe to call
-  /// from inside a handler: events at the handler's own timestamp are
-  /// dropped too. Armed closures are disarmed (their captures destroyed) but
-  /// their pooled slot adapters are kept for reuse.
-  void clear();
+  /// Drop every pending event. Safe to call from inside a handler: events
+  /// at the handler's own timestamp are dropped too.
+  void clear() { queue_.clear(); }
 
   /// Arm a cooperative wall-clock watchdog: run() checks the real clock every
   /// kDeadlineStride events and throws WallDeadlineExceeded once `deadline`
@@ -159,10 +136,6 @@ class Engine {
   /// profile. The *first* check happens on the first event, so even a
   /// zero-event-budget deadline fires promptly.
   static constexpr std::uint32_t kDeadlineStride = 4096;
-
-  /// Closures allocated by call_at/call_in that have not fired yet
-  /// (test hook for the reclamation guarantee).
-  std::size_t live_closures() const { return live_closures_; }
 
   /// Per-event-kind schedule/execute counters since construction.
   /// Observability only — never part of a simulation report.
@@ -304,13 +277,10 @@ class Engine {
     Block* free_blocks_{nullptr};
   };
 
-  class Closure;
-
   void dispatch(const Entry& entry);
   void note_queued() {
     if (queue_.size() > peak_queued_) peak_queued_ = queue_.size();
   }
-  void release_closure(std::uint32_t slot);
 
   /// One-per-event watchdog probe: counts down kDeadlineStride events, then
   /// reads the real clock and throws WallDeadlineExceeded when it has passed
@@ -324,12 +294,6 @@ class Engine {
   }
 
   EventQueue queue_;
-  // Pooled one-shot closure adapters: slots are created on demand, disarmed
-  // (capture destroyed) when they fire, and re-armed from the free list —
-  // the adapter objects themselves persist across firings and clear().
-  std::vector<std::unique_ptr<Closure>> closures_;
-  std::vector<std::uint32_t> free_closure_slots_;
-  std::size_t live_closures_{0};
   SimTime now_{0};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};

@@ -68,16 +68,20 @@ namespace {
 
 /// Synthetic hot-path component: every event allocates a packet, parks it in
 /// a fixed ring, releases the oldest once the ring is full, schedules a
-/// follow-up event, and periodically arms a pooled closure. All bookkeeping
-/// lives on the stack/in the fixture so the only heap traffic is
-/// Engine/PacketPool growth.
+/// follow-up event, and periodically sends a short-delay event to a no-op
+/// component. All bookkeeping lives on the stack/in the fixture so the only
+/// heap traffic is Engine/PacketPool growth.
 class Churn final : public Component {
  public:
+  struct Idle final : Component {
+    void handle(Engine&, const Event&) override {}
+  };
+
   PacketPool* pool{nullptr};
+  Idle idle;
   std::array<std::uint32_t, 64> held{};
   std::size_t held_count{0};
   int follow_ups{0};
-  int closures_fired{0};
 
   void handle(Engine& engine, const Event& event) override {
     Packet& packet = pool->alloc();
@@ -94,9 +98,7 @@ class Churn final : public Component {
       engine.schedule_in(7, *this, 1, event.a + 1);
       engine.schedule_in(7, *this, 1, event.a + 2);
     }
-    if (event.a % 50 == 0) {
-      engine.call_in(3, [this] { ++closures_fired; });  // 8-byte capture: SBO
-    }
+    if (event.a % 50 == 0) engine.schedule_in(3, idle, 0);
   }
 };
 
@@ -130,11 +132,10 @@ TEST(ArenaSteadyState, ZeroAllocationsOnSecondSameShapeCell) {
   Engine engine;
   const std::uint64_t first = run_synthetic_cell(engine, arena);
   EXPECT_GT(first, 0u) << "warm-up cell must grow the engine and pool storage";
-  // Later same-shape rounds re-initialise in place: the engine's lane blocks,
-  // overflow heap and pooled closure slots survive clear(), and the packet
-  // slab comes back from the arena, so the steady state touches the
-  // allocator ZERO times. Any new per-event or per-packet allocation shows
-  // up here as a non-zero delta.
+  // Later same-shape rounds re-initialise in place: the engine's lane blocks
+  // and overflow heap survive clear(), and the packet slab comes back from
+  // the arena, so the steady state touches the allocator ZERO times. Any new
+  // per-event or per-packet allocation shows up here as a non-zero delta.
   const std::uint64_t second = run_synthetic_cell(engine, arena);
   EXPECT_EQ(second, 0u);
   const std::uint64_t third = run_synthetic_cell(engine, arena);

@@ -62,7 +62,13 @@ TEST(Engine, SameTimeEventsFireInScheduleOrder) {
 TEST(Engine, ScheduleInIsRelativeToNow) {
   Engine engine;
   Recorder recorder;
-  engine.call_at(100, [&] { engine.schedule_in(50, recorder, 7); });
+  // Fires at 100 and schedules the recorder 50 later.
+  struct Relay final : Component {
+    explicit Relay(Recorder& next) : next(next) {}
+    void handle(Engine& engine, const Event&) override { engine.schedule_in(50, next, 7); }
+    Recorder& next;
+  } relay(recorder);
+  engine.schedule_at(100, relay, 0);
   engine.run();
   ASSERT_EQ(recorder.log.size(), 1u);
   EXPECT_EQ(recorder.log[0].when, 150);
@@ -113,26 +119,18 @@ TEST(Engine, WallDeadlineAbandonsARunawayEventChain) {
   EXPECT_GT(engine.executed(), 0u);
 }
 
-TEST(Engine, StepExecutesExactlyOneEvent) {
-  Engine engine;
-  Recorder recorder;
-  engine.schedule_at(1, recorder, 1);
-  engine.schedule_at(2, recorder, 2);
-  EXPECT_TRUE(engine.step());
-  EXPECT_EQ(recorder.log.size(), 1u);
-  EXPECT_TRUE(engine.step());
-  EXPECT_FALSE(engine.step());
-}
-
 TEST(Engine, EventsScheduledDuringExecutionAreProcessed) {
   Engine engine;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 10) engine.call_at(engine.now() + 1, recurse);
-  };
-  engine.call_at(0, recurse);
+  // Each firing schedules the next one a tick later, ten firings in all.
+  struct Recurse final : Component {
+    void handle(Engine& engine, const Event&) override {
+      if (++depth < 10) engine.schedule_at(engine.now() + 1, *this, 0);
+    }
+    int depth = 0;
+  } recurse;
+  engine.schedule_at(0, recurse, 0);
   engine.run();
-  EXPECT_EQ(depth, 10);
+  EXPECT_EQ(recurse.depth, 10);
   EXPECT_EQ(engine.now(), 9);
 }
 
@@ -249,21 +247,6 @@ TEST(Engine, RandomizedStressMatchesReferencePriorityQueue) {
   }
 }
 
-TEST(Engine, ClosuresAreReclaimedAfterFiring) {
-  Engine engine;
-  int fired = 0;
-  std::function<void()> tick = [&] {
-    // The just-fired closure's slot is already free when its body runs.
-    EXPECT_EQ(engine.live_closures(), 0u);
-    if (++fired < 200) engine.call_in(10, tick);
-  };
-  engine.call_in(0, tick);
-  EXPECT_EQ(engine.live_closures(), 1u);
-  engine.run();
-  EXPECT_EQ(fired, 200);
-  EXPECT_EQ(engine.live_closures(), 0u);
-}
-
 TEST(Engine, ClearInsideHandlerDropsRestOfBatch) {
   class Clearer final : public Component {
    public:
@@ -307,19 +290,6 @@ TEST(Engine, RunResumesInterruptedSameTimeBatch) {
   ASSERT_EQ(recorder.log.size(), 3u);
   EXPECT_EQ(recorder.log[1].a, 2u);  // batch remainder first...
   EXPECT_EQ(recorder.log[2].a, 3u);  // ...then the later event
-}
-
-TEST(Engine, ClearInsideClosureIsSafe) {
-  Engine engine;
-  int fired = 0;
-  engine.call_at(5, [&] {
-    ++fired;
-    engine.clear();
-  });
-  engine.call_at(5, [&] { ++fired; });  // dropped by the clear above
-  engine.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.live_closures(), 0u);
 }
 
 TEST(Engine, ManyEventsStressOrdering) {
@@ -529,20 +499,6 @@ TEST(EngineLanes, ResetBetweenRoundsWithDifferentDelaySets) {
     engine.clear();
     EXPECT_EQ(engine.queued(), 0u);
   }
-}
-
-TEST(EngineLanes, NextEventTimeSeesLanesAndOverflowHeap) {
-  Engine engine;
-  Recorder recorder;
-  EXPECT_EQ(engine.next_event_time(), std::nullopt);
-  // 40 distinct delays: the first 32 take lanes, the rest overflow.
-  for (SimTime d = 40; d > 0; --d) engine.schedule_at(d * 10, recorder, 0);
-  EXPECT_EQ(engine.next_event_time(), std::optional<SimTime>(10));
-  engine.run(95);
-  EXPECT_EQ(engine.next_event_time(), std::optional<SimTime>(100));
-  engine.run();
-  EXPECT_EQ(engine.next_event_time(), std::nullopt);
-  EXPECT_EQ(recorder.log.size(), 40u);
 }
 
 }  // namespace

@@ -12,6 +12,14 @@ External links (http/https/mailto) and generated paths (``build/...``) are
 skipped — CI has no business probing the network, and build outputs don't
 exist in a fresh checkout.
 
+README.md and docs/*.md are also scanned for inline code spans that name a
+plain repo path (under src/, tools/, bench/, tests/, examples/ or docs/, with
+no whitespace, no ``*`` or ``{`` pattern and no ``…`` or ``<name>``
+placeholder), e.g. ``src/sim/engine.hpp`` or
+``tools/dflysim_cli.cpp:42``; each must exist. ROADMAP.md and CHANGES.md are
+not scanned this way: they name files still to be written and files already
+deleted.
+
 Usage: tools/check_links.py [root]   (root defaults to the repo root)
 Exit status: 0 when every link resolves, 1 otherwise (each break printed).
 """
@@ -26,6 +34,10 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "build/")
+# A code span holding nothing but a repo path, with an optional :line or
+# :first-last suffix or #anchor, which the existence check ignores.
+CODE_PATH_RE = re.compile(
+    r"`((?:src|tools|bench|tests|examples|docs)/[^`\s*{:#…<]*)(?::\d+(?:-\d+)?|#[^`\s]*)?`")
 
 
 def anchor_of(heading: str) -> str:
@@ -66,6 +78,12 @@ def check_file(doc: Path, root: Path) -> list[str]:
     return errors
 
 
+def check_code_paths(doc: Path, root: Path) -> list[str]:
+    text = CODE_FENCE_RE.sub("", doc.read_text(encoding="utf-8"))
+    return [f"{doc.relative_to(root)}: no such path '{m.group(1)}'"
+            for m in CODE_PATH_RE.finditer(text) if not (root / m.group(1)).exists()]
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     # Glob, not a hardcoded list: a new doc is covered the moment it exists.
@@ -77,6 +95,8 @@ def main() -> int:
             continue
         checked += 1
         errors.extend(check_file(doc, root))
+        if doc == root / "README.md" or doc.parent == root / "docs":
+            errors.extend(check_code_paths(doc, root))
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     print(f"check_links: {checked} files, {len(errors)} broken links")

@@ -204,8 +204,9 @@ def rule_alloc_churn(src: SourceFile) -> list[Finding]:
                     "alloc-churn",
                     f"std::{m.group(1)} in a hot directory breaks the "
                     "zero-steady-state-allocation invariant (docs/MEMORY.md); use the "
-                    "arena-backed containers (FlatMap, InlineFn, RingQueue) or add a "
-                    "justified allowlist entry in tools/dfsim_lint.py",
+                    "arena-backed containers (FlatMap, RingQueue), a typed engine event "
+                    "instead of a callback, or add a justified allowlist entry in "
+                    "tools/dfsim_lint.py",
                 )
             )
     return findings
