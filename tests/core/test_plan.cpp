@@ -413,6 +413,43 @@ TEST(PlanCellHash, StableAcrossExpansionsAndSensitiveToCellIdentity) {
   EXPECT_NE(plan_cell_hash(tweaked), plan_cell_hash(first[0]));
 }
 
+TEST(PlanCellHash, ValuesArePinnedForJournalCompatibility) {
+  // Journals and daemon spools store plan_cell_hash, and --resume compares
+  // it against a fresh expansion. These literals are the values earlier
+  // builds wrote; a change to any of them means a journal written by an
+  // older build no longer resumes. The cases vary one field each.
+  const PlanCell base = tiny_single_plan().expand().at(0);
+  struct Case {
+    const char* name;
+    void (*edit)(PlanCell&);
+    std::uint64_t expected;
+  };
+  const Case cases[] = {
+      {"base", [](PlanCell&) {}, 0x7405bd9218212895ull},
+      {"routing PAR", [](PlanCell& c) { c.config.routing = "PAR"; }, 0xc631174117d2719cull},
+      {"routing Q-adp", [](PlanCell& c) { c.config.routing = "Q-adp"; }, 0xa1c506d7628a2f4bull},
+      {"placement linear",
+       [](PlanCell& c) { c.config.placement = PlacementPolicy::kLinear; }, 0xc6659654ec628ae8ull},
+      {"eager threshold", [](PlanCell& c) { c.config.protocol.eager_threshold = 4096; },
+       0x9f143191aa9c4ad0ull},
+      {"ugal bias", [](PlanCell& c) { c.config.ugal.bias = 3; }, 0xb23038c613b59adfull},
+      {"qadp alpha", [](PlanCell& c) { c.config.qadp.alpha = 0.25; }, 0xd998ad4a017560feull},
+      {"faults", [](PlanCell& c) { c.config.faults = parse_fault_plan("0:14:4:500,8:12:2"); },
+       0x37d7499afbf733d3ull},
+      {"variant", [](PlanCell& c) { c.variant = "qos"; }, 0x8e2165bbe7d0c7c7ull},
+      {"seed", [](PlanCell& c) { c.config.seed = 7; }, 0xbfae2deb42ef7c14ull},
+      {"scale", [](PlanCell& c) { c.config.scale = 128; }, 0x3ddb43e576862855ull},
+      {"paper machine", [](PlanCell& c) { c.config.topo = DragonflyParams::paper(); },
+       0x8569159e030a166aull},
+  };
+  for (const Case& test : cases) {
+    PlanCell cell = base;
+    test.edit(cell);
+    EXPECT_EQ(plan_cell_hash(cell), test.expected)
+        << test.name << ": 0x" << std::hex << plan_cell_hash(cell);
+  }
+}
+
 // --- sharding + merge --------------------------------------------------------
 
 TEST(PlanSharding, ParseShardAcceptsKOverNAndRejectsJunk) {
