@@ -441,6 +441,28 @@ TEST(PlanCellHash, ValuesArePinnedForJournalCompatibility) {
       {"scale", [](PlanCell& c) { c.config.scale = 128; }, 0x3ddb43e576862855ull},
       {"paper machine", [](PlanCell& c) { c.config.topo = DragonflyParams::paper(); },
        0x8569159e030a166aull},
+      {"qos weights",
+       [](PlanCell& c) {
+         c.config.net.qos.num_classes = 2;
+         c.config.net.qos.weights = {4, 1};
+       },
+       0x02730bedda8b967dull},
+      {"congestion control",
+       [](PlanCell& c) {
+         c.config.net.cc.enabled = true;
+         c.config.net.cc.ecn_threshold_packets = 10;
+       },
+       0x37d7ff0264e6eaa6ull},
+      {"terminal latency", [](PlanCell& c) { c.config.net.terminal_latency = 40 * kNs; },
+       0x5e7af8aa1dd37f86ull},
+      {"pairwise cell",
+       [](PlanCell& c) {
+         c.kind = PlanCellKind::kPairwise;
+         c.target = "FFT3D";
+         c.background = "UR";
+         c.jobs.clear();
+       },
+       0xac5157e8b506d6e1ull},
   };
   for (const Case& test : cases) {
     PlanCell cell = base;
