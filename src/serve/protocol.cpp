@@ -17,7 +17,7 @@ namespace {
 
 /// Minimal recursive-descent JSON reader over exactly the shapes the
 /// protocol uses: one object of string keys whose values are strings,
-/// objects-of-strings, or (ignored) scalars. Kept deliberately smaller than
+/// objects-of-strings, or scalars (read as their text). Kept deliberately smaller than
 /// a general JSON library — unknown structure is an error, not a tree.
 class JsonReader {
  public:
@@ -111,22 +111,23 @@ class JsonReader {
     fail("unterminated string");
   }
 
-  /// Skip one scalar value we don't care about (number / true / false / null).
-  void skip_scalar() {
+  /// Read one scalar value (number / true / false / null) as its text.
+  std::string parse_scalar() {
     const char c = peek();
+    const std::size_t start = pos_;
     if (c == '-' || (c >= '0' && c <= '9')) {
       ++pos_;
       while (pos_ < text_.size() &&
              (std::strchr("0123456789.eE+-", text_[pos_]) != nullptr)) {
         ++pos_;
       }
-      return;
+      return text_.substr(start, pos_ - start);
     }
     for (const char* word : {"true", "false", "null"}) {
       const std::size_t len = std::strlen(word);
       if (text_.compare(pos_, len, word) == 0) {
         pos_ += len;
-        return;
+        return word;
       }
     }
     fail("unsupported value");
@@ -178,7 +179,7 @@ Request parse_request(const std::string& line) {
       } else if (in.peek() == '"') {
         in.parse_string();  // tolerate unknown string fields (forward compat)
       } else {
-        in.skip_scalar();
+        in.parse_scalar();
       }
       if (in.consume('}')) break;
       in.expect(',');
@@ -226,28 +227,17 @@ bool is_control_line(const std::string& line) {
 }
 
 std::string control_field(const std::string& line, const std::string& key) {
-  const std::string needle = '"' + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t pos = at + needle.size();
-  if (pos >= line.size()) return "";
-  if (line[pos] != '"') {
-    // Bare scalar (number / bool): read to the next delimiter.
-    const std::size_t end = line.find_first_of(",}", pos);
-    return line.substr(pos, end == std::string::npos ? std::string::npos : end - pos);
+  JsonReader in(line);
+  in.expect('{');
+  if (in.consume('}')) return "";
+  for (;;) {
+    const std::string name = in.parse_string();
+    in.expect(':');
+    std::string value = in.peek() == '"' ? in.parse_string() : in.parse_scalar();
+    if (name == key) return value;
+    if (in.consume('}')) return "";
+    in.expect(',');
   }
-  ++pos;
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      const char esc = line[pos + 1];
-      out += esc == 'n' ? '\n' : esc == 't' ? '\t' : esc;
-      pos += 2;
-      continue;
-    }
-    out += line[pos++];
-  }
-  return out;
 }
 
 // --- socket helpers ----------------------------------------------------------

@@ -54,9 +54,10 @@ std::string format_request(const Request& request);
 /// cell record (prefix test, see the protocol comment above).
 bool is_control_line(const std::string& line);
 
-/// Pull the string value of `key` out of a control line ("" when absent) —
-/// enough JSON awareness for clients and tests to read {"serve":...}
-/// responses without a full parser.
+/// The value of `key` in a control line: a string field decoded exactly as
+/// JsonWriter escaped it, a number or boolean as its text, "" when the key
+/// is absent. Throws std::invalid_argument when the line is not a flat JSON
+/// object. Clients and tests read {"serve":...} responses with it.
 std::string control_field(const std::string& line, const std::string& key);
 
 // --- socket helpers ----------------------------------------------------------

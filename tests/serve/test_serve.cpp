@@ -25,6 +25,7 @@
 
 #include "core/config_file.hpp"
 #include "core/journal.hpp"
+#include "core/json_report.hpp"
 #include "core/plan.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -195,6 +196,32 @@ TEST(ServeProtocol, ControlLinePrefixSeparatesTheTwoStreams) {
                                  "campaign"),
             "c000001");
   EXPECT_EQ(serve::control_field("{\"serve\":\"done\",\"ok\":true}", "campaign"), "");
+}
+
+TEST(ServeProtocol, ControlFieldRoundTripsEveryStringJsonWriterWrites) {
+  // Every byte JsonWriter escapes — the control characters 0x01-0x1f, '"'
+  // and '\\' — must come back as itself, alone and all in one string.
+  std::vector<std::string> messages;
+  std::string all;
+  for (int c = 0x01; c <= 0x1f; ++c) {
+    messages.push_back("a" + std::string(1, static_cast<char>(c)) + "b");
+  }
+  messages.push_back("say \"hi\"");
+  messages.push_back("C:\\dir\\");
+  for (const std::string& message : messages) all += message;
+  messages.push_back(all);
+  for (const std::string& message : messages) {
+    JsonWriter w;
+    w.begin_object();
+    w.key("serve").value("error");
+    w.key("message").value(message);
+    w.key("cells").value(std::uint64_t{3});
+    w.end_object();
+    const std::string line = w.str();
+    EXPECT_EQ(serve::control_field(line, "message"), message) << line;
+    EXPECT_EQ(serve::control_field(line, "serve"), "error") << line;
+    EXPECT_EQ(serve::control_field(line, "cells"), "3") << line;
+  }
 }
 
 TEST(ServeServer, SubmitStreamsByteIdenticalJsonlAndSpoolsTheCampaign) {
