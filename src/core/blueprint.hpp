@@ -2,38 +2,28 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/mutex.hpp"
 
-#include "mpi/job.hpp"
 #include "net/config.hpp"
-#include "net/fault.hpp"
 #include "net/link.hpp"
-#include "routing/q_adaptive.hpp"
 #include "routing/q_table.hpp"
-#include "routing/ugal.hpp"
 #include "sim/time.hpp"
 #include "stats/link_stats.hpp"
 #include "topo/dragonfly.hpp"
-#include "topo/path.hpp"
-#include "topo/placement.hpp"
 
 /// The immutable "plan" of a simulation cell.
 ///
 /// Every paper figure sweeps many (config, seed) cells over the *same*
-/// 1,056-node Dragonfly; historically each cell rebuilt identical topology,
-/// wiring, path, placement and routing-parameter state from scratch, and that
-/// per-cell constant was the reason the `--jobs` worker cap existed. A
-/// SystemBlueprint factors the read-only half out: everything cells of the
-/// same *shape* share — the Dragonfly wiring tables, the resolved per-port
-/// wiring plan, precomputed minimal-path structures, the placement candidate
-/// pool, NetConfig/protocol/QoS/fault plan, and the routing factory's static
-/// parameterisation (including Q-adaptive's unloaded initial estimates) —
-/// into one hash-keyed snapshot built once per unique shape and shared
-/// across SubmissionQueue workers via shared_ptr.
+/// 1,056-node Dragonfly, and each cell needs the same read-only tables. A
+/// SystemBlueprint builds them once per machine: the Dragonfly wiring
+/// tables, the link classes and latencies, the resolved per-port wiring
+/// plan, the NetConfig and, for Q-adp cells, the unloaded initial
+/// Q-tables. SubmissionQueue workers share one through a BlueprintCache,
+/// via shared_ptr. Routing, placement, MPI protocol, UGAL and Q-adp
+/// parameters and link faults are per-cell StudyConfig fields; the Study
+/// reads them from its config, never from the blueprint.
 ///
 /// Blueprints are deeply immutable after build(): nothing in this class
 /// mutates during a run (const-enforced), so concurrent cells can read one
@@ -41,30 +31,23 @@
 /// buffers, packet pool, stats, Q-tables, UGAL queue reads, Rng streams —
 /// stays in the cell (see core/arena.hpp for how *that* half is recycled).
 ///
-/// Sharing is behaviour-preserving by construction: a blueprint's content is
-/// a pure function of the shape, so output is byte-identical whether each
-/// cell builds its own copy or many cells share one. A Study on a thread
-/// with no cache bound builds a private copy; tests use that as the
-/// reference for the shared path.
+/// Sharing is behaviour-preserving by construction: the content is built
+/// from the BlueprintKey alone (the private build takes nothing else), so
+/// output is byte-identical whether each cell builds its own copy or many
+/// cells share one. A Study on a thread with no cache bound builds a private
+/// copy; tests use that as the reference for the shared path.
 namespace dfly {
 
 struct StudyConfig;
 
-/// The shape of a cell: every StudyConfig field that determines blueprint
-/// content. Seed, scale, observability and time limit are deliberately
-/// absent — they parameterise the mutable per-cell state only.
+/// Everything SystemBlueprint's build reads: the machine, its net config,
+/// and whether the cell's routing ("Q-adp") needs initial Q-tables.
 struct BlueprintKey {
   DragonflyParams topo{};
   NetConfig net{};
-  std::string routing;
-  PlacementPolicy placement{PlacementPolicy::kRandom};
-  mpi::ProtocolConfig protocol{};
-  routing::UgalParams ugal{};
-  routing::QAdaptiveParams qadp{};
-  std::vector<LinkFault> faults;
+  bool q_tables{false};
 
   bool operator==(const BlueprintKey&) const = default;
-  std::size_t hash() const;
 
   static BlueprintKey of(const StudyConfig& config);
 };
@@ -84,19 +67,14 @@ class SystemBlueprint {
     LinkClass cls{LinkClass::kTerminal};
   };
 
-  /// Build the full plan for one config shape. Pure: equal shapes produce
-  /// blueprints with identical content.
+  /// Build the plan for `config`'s key (BlueprintKey::of). Pure: configs
+  /// with equal keys produce blueprints with identical content.
   static std::shared_ptr<const SystemBlueprint> build(const StudyConfig& config);
 
   const BlueprintKey& key() const { return key_; }
   const Dragonfly& topo() const { return topo_; }
   const LinkMap& links() const { return links_; }
   const NetConfig& net() const { return key_.net; }
-  const mpi::ProtocolConfig& protocol() const { return key_.protocol; }
-  const FaultPlan& faults() const { return faults_; }
-  const std::string& routing_name() const { return key_.routing; }
-  const routing::UgalParams& ugal() const { return key_.ugal; }
-  const routing::QAdaptiveParams& qadp() const { return key_.qadp; }
 
   /// Wiring plan entry for output `port` of `router`.
   const PortPlan& port(int router, int port) const {
@@ -104,19 +82,8 @@ class SystemBlueprint {
                   static_cast<std::size_t>(port)];
   }
 
-  /// Precomputed minimal-path tables. Construct `PathOracle(topo(), &paths())`
-  /// to answer hop-count/diversity queries off the tables; equivalence with
-  /// the on-demand gateway scans is test-enforced (tests/topo/test_path.cpp).
-  /// No simulation hot path queries the oracle today — routers decide hop by
-  /// hop — so this exists for analysis/report consumers and costs ~1 ms per
-  /// shape to build.
-  const PathPlan& paths() const { return paths_; }
-
-  /// The machine's full node enumeration in id order (Placer candidate pool).
-  const std::vector<int>& placement_pool() const { return placement_pool_; }
-
-  /// Shared unloaded initial Q-tables — non-null only when the shape's
-  /// routing is "Q-adp" (pass to RoutingContext::qinit).
+  /// Shared unloaded initial Q-tables — non-null only when the key's
+  /// q_tables is set (pass to RoutingContext::qinit).
   const std::vector<QTable>* initial_qtables() const {
     return qinit_.empty() ? nullptr : &qinit_;
   }
@@ -128,25 +95,27 @@ class SystemBlueprint {
   std::size_t footprint_bytes() const;
 
  private:
+  friend class BlueprintCache;
+
   explicit SystemBlueprint(BlueprintKey key);
+  /// The build proper: it reads nothing but `key`.
+  static std::shared_ptr<const SystemBlueprint> build(BlueprintKey key);
 
   BlueprintKey key_;
   Dragonfly topo_;
   LinkMap links_;
   int radix_;
-  FaultPlan faults_;
   std::vector<PortPlan> ports_;
-  PathPlan paths_;
-  std::vector<int> placement_pool_;
   std::vector<QTable> qinit_;
   double build_ms_{0};
 };
 
 /// Concurrent blueprint cache: one instance is shared by every worker of a
-/// SubmissionQueue, so all cells of the same shape get the same
+/// SubmissionQueue, so all cells with the same key get the same
 /// shared_ptr. get_or_build holds the lock across a build — the common race
-/// is every worker asking for the *same* first shape, and blocking the
-/// others is exactly what prevents duplicate builds.
+/// is every worker asking for the *same* first key, and blocking the
+/// others is exactly what prevents duplicate builds. A campaign holds a
+/// handful of keys, so lookup is a linear scan comparing keys.
 class BlueprintCache {
  public:
   struct Stats {
@@ -164,18 +133,16 @@ class BlueprintCache {
   Stats stats() const;
   std::size_t size() const;
 
-  /// The cache bound to the calling thread (nullptr when none is bound or
-  /// blueprint sharing is globally disabled at bind time). SubmissionQueue
-  /// binds one cache across all its workers; Study picks it up automatically.
+  /// The cache bound to the calling thread (nullptr when none is bound).
+  /// SubmissionQueue binds one cache across all its workers; Study picks it
+  /// up automatically.
   static BlueprintCache* current();
 
  private:
   mutable Mutex mutex_;
-  // hash -> entries with that hash (collisions resolved by key equality).
-  // Workers race get_or_build on the same shapes, so both the table and the
+  // Workers race get_or_build on the same keys, so both the entries and the
   // stats are provably lock-protected (see core/thread_annotations.hpp).
-  std::unordered_map<std::size_t, std::vector<std::shared_ptr<const SystemBlueprint>>> by_hash_
-      GUARDED_BY(mutex_);
+  std::vector<std::shared_ptr<const SystemBlueprint>> entries_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 

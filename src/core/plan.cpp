@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/arena.hpp"
-#include "core/blueprint.hpp"
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
 #include "core/pairwise.hpp"
@@ -103,12 +102,16 @@ namespace {
 /// across platforms and processes).
 class CellHasher {
  public:
+  explicit CellHasher(std::uint64_t basis = 14695981039346656037ull) : h_(basis) {}
+
   void mix_u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       step(static_cast<unsigned char>(v & 0xff));
       v >>= 8;
     }
   }
+  /// Signed integers, enums and bools, sign-extended to 64 bits.
+  void mix_int(std::int64_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
   void mix_double(double v) {
     static_assert(sizeof(double) == sizeof(std::uint64_t));
     std::uint64_t bits = 0;
@@ -119,6 +122,11 @@ class CellHasher {
     mix_u64(s.size());
     for (const char c : s) step(static_cast<unsigned char>(c));
   }
+  /// mix_string, but each character mixed as 8 bytes (config_hash's form).
+  void mix_wide_string(const std::string& s) {
+    mix_u64(s.size());
+    for (const char c : s) mix_u64(static_cast<unsigned char>(c));
+  }
   std::uint64_t value() const { return h_; }
 
  private:
@@ -126,17 +134,70 @@ class CellHasher {
     h_ ^= byte;
     h_ *= 1099511628211ull;
   }
-  std::uint64_t h_{14695981039346656037ull};
+  std::uint64_t h_;
 };
+
+/// First stage of plan_cell_hash: the config fields that describe the
+/// system and its routing (plan_cell_hash mixes seed, scale and limits
+/// itself; observability is left out). Journals and spools store the
+/// result, so the field order and two quirks of this stage are frozen:
+/// the offset basis is 1469598103934665603, one digit short of FNV-1a's,
+/// and each string character is mixed as 8 bytes (mix_wide_string).
+std::uint64_t config_hash(const StudyConfig& config) {
+  CellHasher h(1469598103934665603ull);
+  const DragonflyParams& topo = config.topo;
+  h.mix_int(topo.p);
+  h.mix_int(topo.a);
+  h.mix_int(topo.h);
+  h.mix_int(topo.g);
+  h.mix_int(static_cast<int>(topo.arrangement));
+  const NetConfig& net = config.net;
+  h.mix_int(net.flit_bytes);
+  h.mix_int(net.packet_bytes);
+  h.mix_int(net.buffer_packets);
+  h.mix_int(net.num_vcs);
+  h.mix_double(net.link_gbps);
+  h.mix_int(net.local_latency);
+  h.mix_int(net.global_latency);
+  h.mix_int(net.terminal_latency);
+  h.mix_int(net.router_latency);
+  h.mix_int(net.qos.num_classes);
+  h.mix_u64(net.qos.weights.size());
+  for (const int w : net.qos.weights) h.mix_int(w);
+  h.mix_int(net.qos.quantum_packets);
+  h.mix_int(net.cc.enabled);
+  h.mix_int(net.cc.ecn_threshold_packets);
+  h.mix_double(net.cc.md_factor);
+  h.mix_double(net.cc.ai_step);
+  h.mix_int(net.cc.ai_period);
+  h.mix_double(net.cc.min_rate);
+  h.mix_int(net.cc.decrease_guard);
+  h.mix_wide_string(config.routing);
+  h.mix_int(static_cast<int>(config.placement));
+  h.mix_int(config.protocol.eager_threshold);
+  h.mix_int(config.protocol.control_bytes);
+  h.mix_int(config.ugal.min_candidates);
+  h.mix_int(config.ugal.nonmin_candidates);
+  h.mix_int(config.ugal.nonmin_weight);
+  h.mix_int(config.ugal.bias);
+  h.mix_double(config.qadp.alpha);
+  h.mix_double(config.qadp.epsilon);
+  h.mix_double(config.qadp.queue_weight);
+  h.mix_u64(config.faults.size());
+  for (const LinkFault& f : config.faults.faults()) {
+    h.mix_int(f.router);
+    h.mix_int(f.port);
+    h.mix_int(f.slowdown);
+    h.mix_int(f.extra_latency);
+  }
+  return h.value();
+}
 
 }  // namespace
 
 std::uint64_t plan_cell_hash(const PlanCell& cell) {
   CellHasher h;
-  // BlueprintKey covers every config field that shapes the system (topology,
-  // net, routing parameterisation, placement, faults); the fields it
-  // deliberately excludes are mixed in explicitly below.
-  h.mix_u64(static_cast<std::uint64_t>(BlueprintKey::of(cell.config).hash()));
+  h.mix_u64(config_hash(cell.config));
   h.mix_u64(cell.config.seed);
   h.mix_u64(static_cast<std::uint64_t>(cell.config.scale));
   h.mix_u64(static_cast<std::uint64_t>(cell.config.time_limit));

@@ -89,8 +89,8 @@ struct PlanCell {
 };
 
 /// Stable identity hash of an expanded cell: everything that determines its
-/// simulation output (config shape + seed/scale/limits + kind + job mix +
-/// index). --resume recomputes this for every journaled cell and refuses to
+/// simulation output (system and routing config + seed/scale/limits + kind +
+/// job mix + index). --resume recomputes this for every journaled cell and refuses to
 /// skip a cell whose hash no longer matches — the plan file changed under
 /// the journal. Stable across processes and platforms (FNV-1a over explicit
 /// fields, never over raw struct bytes).

@@ -12,7 +12,7 @@ namespace dfly {
 
 namespace {
 
-/// Resolve the cell's immutable plan: explicit blueprint (shape-checked),
+/// Resolve the cell's immutable plan: explicit blueprint (key-checked),
 /// thread-bound shared cache, else a private build. The resulting blueprint
 /// content is identical in every case, so the choice never affects output.
 std::shared_ptr<const SystemBlueprint> resolve_blueprint(
@@ -20,7 +20,8 @@ std::shared_ptr<const SystemBlueprint> resolve_blueprint(
   if (explicit_bp != nullptr) {
     if (!(explicit_bp->key() == BlueprintKey::of(config))) {
       throw std::invalid_argument(
-          "Study: the supplied SystemBlueprint was built for a different system shape");
+          "Study: the supplied SystemBlueprint was built for a different BlueprintKey "
+          "(topology, net config or Q-tables)");
     }
     return explicit_bp;
   }
@@ -36,8 +37,7 @@ Study::Study(StudyConfig config, SimArena* arena,
              std::shared_ptr<const SystemBlueprint> blueprint)
     : config_(std::move(config)),
       blueprint_(resolve_blueprint(config_, std::move(blueprint))),
-      placer_(blueprint_->topo(), config_.placement, Rng(config_.seed, 0x9 /*placement stream*/),
-              &blueprint_->placement_pool()) {
+      placer_(blueprint_->topo(), config_.placement, Rng(config_.seed, 0x9 /*placement stream*/)) {
   SimArena* candidate = arena != nullptr ? arena : SimArena::current();
   if (candidate != nullptr && candidate->try_acquire(this)) arena_ = candidate;
 }
@@ -98,16 +98,17 @@ const trace::MessageTrace& Study::trace(int app_id) const {
 
 void Study::build() {
   const int num_apps = static_cast<int>(pending_.size());
-  // Routing and network both read their immutable inputs (topology, net
-  // config, initial Q-tables) out of the shared blueprint — the addresses
-  // are stable for the Study's lifetime because blueprint_ is held above.
+  // Routing and network read their immutable inputs (topology, net config,
+  // initial Q-tables) out of the shared blueprint — the addresses are stable
+  // for the Study's lifetime because blueprint_ is held above — and their
+  // per-cell parameters (UGAL, Q-adp, faults) out of config_.
   routing::RoutingContext context{&engine_,     &blueprint_->topo(), &blueprint_->net(),
                                   config_.seed, config_.ugal,        config_.qadp,
                                   blueprint_->initial_qtables()};
   routing_ = routing::make_routing(config_.routing, context);
   network_ = std::make_unique<Network>(engine_, *blueprint_, *routing_, num_apps,
                                        config_.seed, config_.observability, arena_);
-  if (!config_.faults.empty()) network_->apply_faults(blueprint_->faults());
+  if (!config_.faults.empty()) network_->apply_faults(config_.faults);
   mpi_system_ = std::make_unique<mpi::MpiSystem>(*network_);
   int app_id = 0;
   for (auto& pending : pending_) {

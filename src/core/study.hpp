@@ -40,7 +40,7 @@ struct StudyConfig {
   /// WallDeadlineExceeded (see sim/engine.hpp). 0 = no watchdog. Campaign
   /// plans set this per cell via plan.cell_timeout_s (core/plan.hpp) so a
   /// hung cell is recorded as a timeout instead of stalling the campaign.
-  /// Like seed/scale/time_limit, this never affects the blueprint shape.
+  /// Like seed/scale/time_limit, this never affects the blueprint.
   double wall_limit_s{0};
 };
 
@@ -112,20 +112,23 @@ struct Report {
 /// second-and-later cells re-initialise in place instead of re-growing from
 /// empty. Reuse never changes simulation output (see core/arena.hpp).
 ///
-/// Plan sharing: the immutable half of the cell — topology, wiring, path and
-/// placement plans, routing parameterisation — lives in a SystemBlueprint
-/// (core/blueprint.hpp). The Study resolves it in this order: an explicit
-/// `blueprint` argument (must match the config's shape), the thread-bound
-/// BlueprintCache (SubmissionQueue binds one across all workers, so
-/// same-shape cells share one snapshot), else a private build. Sharing never
-/// changes simulation output.
+/// Plan sharing: the immutable half of the cell — topology, link and
+/// per-port wiring tables, net config and, for Q-adp, the initial Q-tables —
+/// lives in a SystemBlueprint (core/blueprint.hpp), keyed by topology, net
+/// config and whether Q-tables are needed. Routing, placement, protocol,
+/// UGAL/Q-adp parameters and faults are read from the Study's own config.
+/// The Study resolves the blueprint in this order: an explicit `blueprint`
+/// argument (its key must match the config's), the thread-bound
+/// BlueprintCache (SubmissionQueue binds one across all workers, so cells
+/// with the same key share one snapshot), else a private build. Sharing
+/// never changes simulation output.
 class Study {
  public:
   /// `arena` overrides the thread-bound SimArena::current(); pass nullptr to
   /// use the thread binding (the normal sweep path). Reuse is skipped when
   /// no arena is passed or bound, or the arena is already held. `blueprint`
   /// overrides cache resolution; it must have been built from a config with
-  /// the same shape (throws std::invalid_argument otherwise).
+  /// the same BlueprintKey (throws std::invalid_argument otherwise).
   explicit Study(StudyConfig config, SimArena* arena = nullptr,
                  std::shared_ptr<const SystemBlueprint> blueprint = nullptr);
   ~Study();

@@ -36,7 +36,7 @@ struct ProtocolConfig {
   /// Size of RTS/CTS control messages on the wire.
   std::int64_t control_bytes{8};
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (config round-trip tests).
   bool operator==(const ProtocolConfig&) const = default;
 };
 

@@ -33,7 +33,7 @@ struct NetConfig {
   SimTime serialization(int bytes) const { return serialization_ps(bytes, link_gbps); }
   int flits_per_packet() const { return (packet_bytes + flit_bytes - 1) / flit_bytes; }
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (part of the SystemBlueprint cache key).
   bool operator==(const NetConfig&) const = default;
 };
 

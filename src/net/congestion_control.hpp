@@ -40,7 +40,7 @@ struct CongestionControlConfig {
   /// reaction time, like RoCE CNP coalescing).
   SimTime decrease_guard{2 * kUs};
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (part of the SystemBlueprint cache key).
   bool operator==(const CongestionControlConfig&) const = default;
 };
 

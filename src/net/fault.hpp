@@ -21,7 +21,7 @@ struct LinkFault {
   int slowdown{1};
   SimTime extra_latency{0};
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (config round-trip tests).
   bool operator==(const LinkFault&) const = default;
 };
 
@@ -37,7 +37,7 @@ class FaultPlan {
   std::size_t size() const { return faults_.size(); }
   const std::vector<LinkFault>& faults() const { return faults_; }
 
-  /// Shape identity (blueprint cache key, config round-trip tests).
+  /// Equality (config round-trip tests).
   bool operator==(const FaultPlan&) const = default;
 
   /// Degrade every global link between `group_a` and `group_b`, in both

@@ -42,7 +42,7 @@ struct QosConfig {
     return w < 1 ? 1 : w;
   }
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (part of the SystemBlueprint cache key).
   bool operator==(const QosConfig&) const = default;
 };
 

@@ -15,9 +15,9 @@ namespace dfly::routing {
 
 /// Everything needed to instantiate any routing policy.
 ///
-/// The split mirrors the SystemBlueprint design: `ugal`/`qadp`/`qinit` are
-/// the immutable parameterisation a blueprint shares across cells; the engine
-/// and seed feed the policy's own per-cell mutable state (Rng streams,
+/// `topo`, `cfg` and `qinit` point into the SystemBlueprint shared across
+/// cells; `ugal` and `qadp` are the cell's own StudyConfig parameters; the
+/// engine and seed feed the policy's per-cell mutable state (Rng streams,
 /// Q-tables, flow tables).
 struct RoutingContext {
   Engine* engine;

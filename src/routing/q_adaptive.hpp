@@ -19,7 +19,7 @@ struct QAdaptiveParams {
   double epsilon{0.01};     ///< exploration probability per decision
   double queue_weight{1.0}; ///< weight of the instantaneous local queue penalty
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (config round-trip tests).
   bool operator==(const QAdaptiveParams&) const = default;
 };
 

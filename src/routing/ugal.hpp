@@ -12,7 +12,7 @@ struct UgalParams {
   int nonmin_weight{2};
   int bias{0};
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (config round-trip tests).
   bool operator==(const UgalParams&) const = default;
 };
 

@@ -47,7 +47,7 @@ struct DragonflyParams {
   /// A small 72-node system (g=9,a=4,h=2,p=2) for tests.
   static DragonflyParams tiny() { return DragonflyParams{2, 4, 2, 9}; }
 
-  /// Shape identity (used by the SystemBlueprint cache key).
+  /// Equality (part of the SystemBlueprint cache key).
   bool operator==(const DragonflyParams&) const = default;
 };
 

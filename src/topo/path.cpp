@@ -77,18 +77,11 @@ int PathOracle::count_minimal(int src_router, int dst_router) const {
   const int sg = t.group_of_router(src_router);
   const int dg = t.group_of_router(dst_router);
   if (sg == dg) return 1;
-  if (plan_ != nullptr) {
-    return plan_->group_paths[static_cast<std::size_t>(sg) * plan_->num_groups + dg];
-  }
   return static_cast<int>(t.gateways(sg, dg).size());
 }
 
 int PathOracle::minimal_hops(int src_router, int dst_router) const {
   const Dragonfly& t = *topo_;
-  if (plan_ != nullptr) {
-    return plan_->min_hops[static_cast<std::size_t>(src_router) * plan_->num_routers +
-                           dst_router];
-  }
   if (src_router == dst_router) return 0;
   const int sg = t.group_of_router(src_router);
   const int dg = t.group_of_router(dst_router);
@@ -103,31 +96,6 @@ int PathOracle::minimal_hops(int src_router, int dst_router) const {
     if (hops < best) best = hops;
   }
   return best;
-}
-
-PathPlan PathPlan::build(const Dragonfly& topo) {
-  PathPlan plan;
-  plan.num_routers = topo.num_routers();
-  plan.num_groups = topo.num_groups();
-  // Fill the tables through a plan-less oracle so the precomputed answers are
-  // by construction the same as the on-demand ones.
-  const PathOracle oracle(topo);
-  plan.min_hops.resize(static_cast<std::size_t>(plan.num_routers) * plan.num_routers);
-  for (int s = 0; s < plan.num_routers; ++s) {
-    for (int d = 0; d < plan.num_routers; ++d) {
-      plan.min_hops[static_cast<std::size_t>(s) * plan.num_routers + d] =
-          static_cast<std::uint8_t>(oracle.minimal_hops(s, d));
-    }
-  }
-  plan.group_paths.resize(static_cast<std::size_t>(plan.num_groups) * plan.num_groups, 1);
-  for (int sg = 0; sg < plan.num_groups; ++sg) {
-    for (int dg = 0; dg < plan.num_groups; ++dg) {
-      if (sg == dg) continue;
-      plan.group_paths[static_cast<std::size_t>(sg) * plan.num_groups + dg] =
-          static_cast<std::int32_t>(topo.gateways(sg, dg).size());
-    }
-  }
-  return plan;
 }
 
 }  // namespace dfly

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -13,33 +12,14 @@ namespace dfly {
 /// the routers themselves make hop-by-hop decisions at run time.
 using RouterPath = std::vector<int>;
 
-/// Precomputed minimal-path structure over one Dragonfly, shared read-only by
-/// every cell of the same shape (it lives inside the SystemBlueprint). Holds
-/// the per-router-pair minimal hop count and the per-group-pair minimal path
-/// diversity, so repeated PathOracle queries cost one table read instead of a
-/// gateway scan. Building the plan is pure topology arithmetic; a PathOracle
-/// with and without a plan answers identically.
-struct PathPlan {
-  int num_routers{0};
-  int num_groups{0};
-  /// minimal_hops[src * num_routers + dst], in [0, 3].
-  std::vector<std::uint8_t> min_hops;
-  /// Number of distinct minimal paths between groups:
-  /// group_paths[src_group * num_groups + dst_group] (1 on the diagonal).
-  std::vector<std::int32_t> group_paths;
-
-  static PathPlan build(const Dragonfly& topo);
-};
-
 /// Static path helpers over a Dragonfly. All functions are pure with respect
 /// to the topology; randomised variants draw from the caller's Rng so that
-/// runs stay reproducible. When a PathPlan is supplied (the blueprint-shared
-/// fast path), hop counts and diversity come from the precomputed tables;
-/// results are identical either way.
+/// runs stay reproducible. Hop counts and path diversity come from a scan of
+/// the gateway lists between the two groups. No simulation code queries the
+/// oracle — routers decide hop by hop — so it serves tests and analysis.
 class PathOracle {
  public:
-  explicit PathOracle(const Dragonfly& topo, const PathPlan* plan = nullptr)
-      : topo_(&topo), plan_(plan) {}
+  explicit PathOracle(const Dragonfly& topo) : topo_(&topo) {}
 
   /// Minimal path between two routers: <= 3 hops (local, global, local).
   /// When several gateway routers exist, `rng` picks among them uniformly;
@@ -66,7 +46,6 @@ class PathOracle {
   void append_minimal(RouterPath& path, int to, Rng* rng) const;
 
   const Dragonfly* topo_;
-  const PathPlan* plan_;
 };
 
 }  // namespace dfly

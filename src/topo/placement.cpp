@@ -27,33 +27,21 @@ const std::vector<std::string>& all_placements() {
   return names;
 }
 
-Placer::Placer(const Dragonfly& topo, PlacementPolicy policy, Rng rng,
-               const std::vector<int>* candidate_pool)
+Placer::Placer(const Dragonfly& topo, PlacementPolicy policy, Rng rng)
     : topo_(&topo),
       policy_(policy),
       rng_(rng),
-      candidate_pool_(candidate_pool),
       used_(static_cast<std::size_t>(topo.num_nodes()), false),
-      free_count_(topo.num_nodes()) {
-  if (candidate_pool_ != nullptr &&
-      static_cast<int>(candidate_pool_->size()) != topo.num_nodes()) {
-    throw std::invalid_argument("Placer: candidate pool does not match the machine");
-  }
-}
+      free_count_(topo.num_nodes()) {}
 
 std::vector<int> Placer::allocate(int count) {
   if (count > free_count_) {
     throw std::runtime_error("Placer: not enough free nodes");
   }
   std::vector<int> free_ids;
-  if (candidate_pool_ != nullptr && free_count_ == topo_->num_nodes()) {
-    // Pristine machine: the candidate set is the shared pool verbatim.
-    free_ids = *candidate_pool_;
-  } else {
-    free_ids.reserve(static_cast<std::size_t>(free_count_));
-    for (int n = 0; n < topo_->num_nodes(); ++n) {
-      if (!used_[static_cast<std::size_t>(n)]) free_ids.push_back(n);
-    }
+  free_ids.reserve(static_cast<std::size_t>(free_count_));
+  for (int n = 0; n < topo_->num_nodes(); ++n) {
+    if (!used_[static_cast<std::size_t>(n)]) free_ids.push_back(n);
   }
 
   std::vector<int> chosen;

@@ -24,16 +24,11 @@ PlacementPolicy placement_from_string(const std::string& name);
 const std::vector<std::string>& all_placements();
 
 /// Allocates nodes to jobs one request at a time over a fixed machine.
-/// Deterministic given the Rng state.
-///
-/// `candidate_pool` (optional, blueprint-shared) is the machine's full node
-/// enumeration in id order — exactly what the free-list scan produces on a
-/// pristine machine — so the first allocation copies the shared pool instead
-/// of re-deriving it. Chosen nodes are identical with or without the pool.
+/// Deterministic given the Rng state. Each allocation draws from the free
+/// node ids in id order, found by one scan of the used-node bitmap.
 class Placer {
  public:
-  Placer(const Dragonfly& topo, PlacementPolicy policy, Rng rng,
-         const std::vector<int>* candidate_pool = nullptr);
+  Placer(const Dragonfly& topo, PlacementPolicy policy, Rng rng);
 
   /// Allocate `count` nodes; returns the node ids in rank order.
   /// Throws std::runtime_error when not enough nodes are free.
@@ -48,7 +43,6 @@ class Placer {
   const Dragonfly* topo_;
   PlacementPolicy policy_;
   Rng rng_;
-  const std::vector<int>* candidate_pool_;  ///< full node list, id order (may be null)
   std::vector<bool> used_;
   int free_count_;
 };

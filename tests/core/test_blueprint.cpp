@@ -1,8 +1,9 @@
-// Tests for the immutable SystemBlueprint (core/blueprint.hpp): key/hash
-// semantics, build purity, the concurrent cache's hit/miss behaviour, Study
-// integration (explicit / thread-bound / private resolution and the shape
-// check), byte-identical output with sharing on vs off, and the dirty-state
-// fuzz (deliberately different cell shapes through ONE cache).
+// Tests for the immutable SystemBlueprint (core/blueprint.hpp): which config
+// fields make the key (and which reach plan_cell_hash instead), build
+// purity, the concurrent cache's hit/miss behaviour, Study integration
+// (explicit / thread-bound / private resolution and the key check),
+// byte-identical output with sharing on vs off, and the dirty-state fuzz
+// (deliberately different cells through ONE cache).
 
 #include "core/blueprint.hpp"
 
@@ -18,6 +19,7 @@
 
 #include "core/arena.hpp"
 #include "core/json_report.hpp"
+#include "core/plan.hpp"
 #include "core/study.hpp"
 #include "sim/rng.hpp"
 
@@ -42,13 +44,13 @@ Report run_cell(const StudyConfig& config, const std::string& app, int nodes,
 
 // --- field-count guard -------------------------------------------------------
 //
-// BlueprintKey::of() copies shape fields out of StudyConfig by hand, so a new
-// StudyConfig field silently defaults to "not shape" — correct for knobs like
-// seed or wall_limit_s, but a cache-poisoning bug if the field changes the
-// built network. These static_asserts pin both field counts: adding a field
-// fails compilation right here, forcing the author to classify it in the
-// perturbation table below (and, if it is shape, add it to BlueprintKey, of()
-// and hash()).
+// BlueprintKey::of() copies fields out of StudyConfig by hand, so a new
+// StudyConfig field is silently not part of the key — correct for per-cell
+// knobs like seed or wall_limit_s, a cache-poisoning bug if the blueprint
+// build would read it. The private build takes only the key, so it cannot
+// read such a field without it being added there. This static_assert fails
+// compilation when a field is added, forcing the author to classify it in
+// the perturbation table below.
 
 /// Converts to anything except T itself (so T's copy constructor can never
 /// swallow the probe), declared-only: used in unevaluated requires-clauses.
@@ -71,15 +73,17 @@ constexpr std::size_t field_count() {
 }
 
 static_assert(field_count<StudyConfig>() == 13,
-              "StudyConfig changed: classify the new field as shape or non-shape in "
-              "PerturbationSweepCoversEveryField (tests/core/test_blueprint.cpp); if it is "
-              "shape, add it to BlueprintKey, BlueprintKey::of() and BlueprintKey::hash()");
-static_assert(field_count<BlueprintKey>() == 8,
-              "BlueprintKey changed: update BlueprintKey::of(), BlueprintKey::hash(), the "
-              "shape perturbation list in tests/core/test_blueprint.cpp, and the non-shape "
-              "comment in core/blueprint.hpp");
+              "StudyConfig changed: classify the new field in "
+              "PerturbationSweepCoversEveryField (tests/core/test_blueprint.cpp); if the "
+              "blueprint build reads it, add it to BlueprintKey and BlueprintKey::of()");
 
-// --- key / hash --------------------------------------------------------------
+std::uint64_t cell_hash_of(const StudyConfig& config) {
+  PlanCell cell;
+  cell.config = config;
+  return plan_cell_hash(cell);
+}
+
+// --- key ---------------------------------------------------------------------
 
 TEST(BlueprintKey, SeedScaleAndObservabilityAreNotShape) {
   StudyConfig a = tiny_config("UGALg", 1);
@@ -88,14 +92,15 @@ TEST(BlueprintKey, SeedScaleAndObservabilityAreNotShape) {
   b.observability.keep_packet_records = true;
   b.time_limit = kSec;
   EXPECT_EQ(BlueprintKey::of(a), BlueprintKey::of(b));
-  EXPECT_EQ(BlueprintKey::of(a).hash(), BlueprintKey::of(b).hash());
 }
 
 TEST(BlueprintKey, EveryShapeFieldChangesTheKey) {
+  // The key is exactly what the build reads: topology, net config, and
+  // whether the routing needs initial Q-tables.
   const BlueprintKey base = BlueprintKey::of(tiny_config());
   {
     StudyConfig c = tiny_config();
-    c.routing = "UGALg";
+    c.routing = "Q-adp";
     EXPECT_FALSE(BlueprintKey::of(c) == base);
   }
   {
@@ -108,80 +113,51 @@ TEST(BlueprintKey, EveryShapeFieldChangesTheKey) {
     c.net.buffer_packets = 7;
     EXPECT_FALSE(BlueprintKey::of(c) == base);
   }
-  {
-    StudyConfig c = tiny_config();
-    c.placement = PlacementPolicy::kContiguous;
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
-  {
-    StudyConfig c = tiny_config();
-    c.protocol.eager_threshold = 1024;
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
-  {
-    StudyConfig c = tiny_config();
-    c.ugal.bias = 99;
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
-  {
-    StudyConfig c = tiny_config();
-    c.qadp.alpha = 0.9;
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
-  {
-    StudyConfig c = tiny_config();
-    c.faults = parse_fault_plan("0:2:4");
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
 }
 
 TEST(BlueprintKey, PerturbationSweepCoversEveryField) {
-  // One perturbation per StudyConfig field, each classified shape (must
-  // change key AND hash) or non-shape (must change neither). The count
-  // assertion at the bottom ties the table to the static_assert above: a new
-  // field cannot compile without also being classified here.
+  // One perturbation per StudyConfig field, each classified by whether it
+  // must change the blueprint key and whether it must change plan_cell_hash
+  // (the cell identity journals store). The count assertion ties the table
+  // to the static_assert above: a new field cannot compile without also
+  // being classified here.
   struct Perturbation {
     const char* field;
     void (*apply)(StudyConfig&);
+    bool in_key;
+    bool in_cell_hash;
   };
-  const std::vector<Perturbation> shape{
-      {"topo", [](StudyConfig& c) { c.topo = DragonflyParams{2, 4, 2, 5}; }},
-      {"net", [](StudyConfig& c) { c.net.buffer_packets = 7; }},
-      {"routing", [](StudyConfig& c) { c.routing = "UGALg"; }},
-      {"placement", [](StudyConfig& c) { c.placement = PlacementPolicy::kContiguous; }},
-      {"protocol", [](StudyConfig& c) { c.protocol.eager_threshold = 1024; }},
-      {"ugal", [](StudyConfig& c) { c.ugal.bias = 99; }},
-      {"qadp", [](StudyConfig& c) { c.qadp.alpha = 0.9; }},
-      {"faults", [](StudyConfig& c) { c.faults = parse_fault_plan("0:2:4"); }},
+  const std::vector<Perturbation> fields{
+      {"topo", [](StudyConfig& c) { c.topo = DragonflyParams{2, 4, 2, 5}; }, true, true},
+      {"net", [](StudyConfig& c) { c.net.buffer_packets = 7; }, true, true},
+      {"routing", [](StudyConfig& c) { c.routing = "Q-adp"; }, true, true},
+      {"placement", [](StudyConfig& c) { c.placement = PlacementPolicy::kContiguous; }, false,
+       true},
+      {"protocol", [](StudyConfig& c) { c.protocol.eager_threshold = 1024; }, false, true},
+      {"ugal", [](StudyConfig& c) { c.ugal.bias = 99; }, false, true},
+      {"qadp", [](StudyConfig& c) { c.qadp.alpha = 0.9; }, false, true},
+      {"faults", [](StudyConfig& c) { c.faults = parse_fault_plan("0:2:4"); }, false, true},
+      {"seed", [](StudyConfig& c) { c.seed = 999; }, false, true},
+      {"scale", [](StudyConfig& c) { c.scale = 3; }, false, true},
+      {"observability", [](StudyConfig& c) { c.observability.keep_packet_records = true; },
+       false, false},
+      {"time_limit", [](StudyConfig& c) { c.time_limit = kSec; }, false, true},
+      {"wall_limit_s", [](StudyConfig& c) { c.wall_limit_s = 5.0; }, false, true},
   };
-  const std::vector<Perturbation> non_shape{
-      {"seed", [](StudyConfig& c) { c.seed = 999; }},
-      {"scale", [](StudyConfig& c) { c.scale = 3; }},
-      {"observability", [](StudyConfig& c) { c.observability.keep_packet_records = true; }},
-      {"time_limit", [](StudyConfig& c) { c.time_limit = kSec; }},
-      {"wall_limit_s", [](StudyConfig& c) { c.wall_limit_s = 5.0; }},
-  };
-  ASSERT_EQ(shape.size() + non_shape.size(), field_count<StudyConfig>())
-      << "every StudyConfig field must appear in exactly one perturbation list";
-  ASSERT_EQ(shape.size(), field_count<BlueprintKey>())
-      << "every BlueprintKey field must have a shape perturbation";
+  ASSERT_EQ(fields.size(), field_count<StudyConfig>())
+      << "every StudyConfig field must appear in the perturbation table";
 
-  const BlueprintKey base = BlueprintKey::of(tiny_config());
-  for (const Perturbation& p : shape) {
+  const BlueprintKey base_key = BlueprintKey::of(tiny_config());
+  const std::uint64_t base_hash = cell_hash_of(tiny_config());
+  for (const Perturbation& p : fields) {
     StudyConfig c = tiny_config();
     p.apply(c);
-    const BlueprintKey key = BlueprintKey::of(c);
-    EXPECT_FALSE(key == base) << "shape field '" << p.field << "' ignored by operator==";
-    EXPECT_NE(key.hash(), base.hash())
-        << "shape field '" << p.field << "' ignored by BlueprintKey::hash()";
-  }
-  for (const Perturbation& p : non_shape) {
-    StudyConfig c = tiny_config();
-    p.apply(c);
-    const BlueprintKey key = BlueprintKey::of(c);
-    EXPECT_TRUE(key == base) << "non-shape field '" << p.field << "' leaked into the key";
-    EXPECT_EQ(key.hash(), base.hash())
-        << "non-shape field '" << p.field << "' leaked into the hash";
+    EXPECT_EQ(!(BlueprintKey::of(c) == base_key), p.in_key)
+        << "field '" << p.field << (p.in_key ? "' ignored by" : "' leaked into")
+        << " the blueprint key";
+    EXPECT_EQ(cell_hash_of(c) != base_hash, p.in_cell_hash)
+        << "field '" << p.field << (p.in_cell_hash ? "' ignored by" : "' leaked into")
+        << " plan_cell_hash";
   }
 }
 
@@ -198,14 +174,12 @@ TEST(SystemBlueprint, BuildIsPureForEqualShapes) {
   for (int r = 0; r < topo.num_routers(); ++r) {
     for (int p = 0; p < topo.radix(); ++p) {
       // ...with identical content (the wiring plan is a pure function of
-      // the shape).
+      // the key).
       EXPECT_EQ(a->port(r, p).peer_router, b->port(r, p).peer_router);
       EXPECT_EQ(a->port(r, p).peer_port, b->port(r, p).peer_port);
       EXPECT_EQ(a->port(r, p).latency, b->port(r, p).latency);
     }
   }
-  EXPECT_EQ(a->paths().min_hops, b->paths().min_hops);
-  EXPECT_EQ(a->paths().group_paths, b->paths().group_paths);
   ASSERT_NE(a->initial_qtables(), nullptr);
   ASSERT_NE(b->initial_qtables(), nullptr);
   ASSERT_EQ(a->initial_qtables()->size(), b->initial_qtables()->size());
@@ -386,12 +360,41 @@ TEST(BlueprintCache, SameShapeSharesOneSnapshot) {
 
 TEST(BlueprintCache, DifferentShapesGetDifferentSnapshots) {
   BlueprintCache cache;
-  const auto a = cache.get_or_build(tiny_config("MIN"));
-  const auto b = cache.get_or_build(tiny_config("PAR"));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  StudyConfig other_machine = tiny_config("PAR");
+  other_machine.topo = DragonflyParams{2, 4, 2, 5};
+  const auto par = cache.get_or_build(tiny_config("PAR"));
+  const auto qadp = cache.get_or_build(tiny_config("Q-adp"));
+  const auto other = cache.get_or_build(other_machine);
+  EXPECT_NE(par, qadp);
+  EXPECT_NE(par, other);
+  EXPECT_NE(qadp, other);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(BlueprintCache, RoutingsWithoutQTablesShareOneSnapshot) {
+  // Routing, placement, protocol, UGAL bias and faults are read by the cell,
+  // not by the blueprint build: all of these share the first build. Only
+  // Q-adp, whose blueprint carries initial Q-tables, needs a second.
+  BlueprintCache cache;
+  const auto first = cache.get_or_build(tiny_config("MIN"));
+  StudyConfig ugal = tiny_config("UGALg");
+  ugal.placement = PlacementPolicy::kLinear;
+  ugal.ugal.bias = 5;
+  StudyConfig par = tiny_config("PAR");
+  par.protocol.eager_threshold = 1024;
+  par.faults = parse_fault_plan("0:2:4");
+  EXPECT_EQ(cache.get_or_build(ugal), first);
+  EXPECT_EQ(cache.get_or_build(par), first);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  const auto qadp = cache.get_or_build(tiny_config("Q-adp"));
+  EXPECT_NE(qadp, first);
+  EXPECT_NE(qadp->initial_qtables(), nullptr);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(BlueprintCache, ThreadBindingNestsAndRestores) {
@@ -434,8 +437,9 @@ TEST(StudyBlueprint, ExplicitBlueprintIsUsedVerbatim) {
 }
 
 TEST(StudyBlueprint, ShapeMismatchThrows) {
-  const auto bp = SystemBlueprint::build(tiny_config("MIN"));
-  EXPECT_THROW(Study(tiny_config("UGALg"), nullptr, bp), std::invalid_argument);
+  // A PAR blueprint has no initial Q-tables, so a Q-adp cell must refuse it.
+  const auto bp = SystemBlueprint::build(tiny_config("PAR"));
+  EXPECT_THROW(Study(tiny_config("Q-adp"), nullptr, bp), std::invalid_argument);
 }
 
 // --- output equivalence ------------------------------------------------------
@@ -456,13 +460,17 @@ TEST(StudyBlueprint, SharedPlanOutputIsByteIdenticalToPrivate) {
 }
 
 TEST(StudyBlueprint, DirtyStateFuzzAcrossShapesThroughOneCache) {
-  // Deliberately different cell shapes scheduled through ONE blueprint cache
-  // (and one arena, as a SubmissionQueue worker would): every report must
-  // match a fresh cache-less, arena-less run of the same cell. Seeded so the
+  // Deliberately different cells scheduled through ONE blueprint cache (and
+  // one arena, as a SubmissionQueue worker would): every report must match a
+  // fresh cache-less, arena-less run of the same cell. Placement, faults and
+  // UGAL bias vary too: cells that differ only there share one blueprint, so
+  // they check that the cell reads them from its own config. Seeded so the
   // "random" schedule is reproducible.
   const std::vector<std::string> apps{"UR", "FFT3D", "Halo3D", "CosmoFlow"};
   const std::vector<std::string> routings{"MIN", "UGALg", "PAR", "Q-adp"};
   const std::vector<int> node_counts{16, 24, 32, 48};
+  const std::vector<PlacementPolicy> placements{
+      PlacementPolicy::kRandom, PlacementPolicy::kContiguous, PlacementPolicy::kLinear};
 
   Rng rng(20260729);
   struct Cell {
@@ -487,6 +495,11 @@ TEST(StudyBlueprint, DirtyStateFuzzAcrossShapesThroughOneCache) {
     if (rng.next_bernoulli(0.5)) {
       cell.config.observability.keep_packet_records = true;
     }
+    cell.config.placement = placements[rng.next_below(placements.size())];
+    if (rng.next_bernoulli(0.5)) {
+      cell.config.faults = parse_fault_plan("0:2:4:200,1:3:2");  // local links of group 0
+    }
+    if (rng.next_bernoulli(0.5)) cell.config.ugal.bias = 4;
     cells.push_back(std::move(cell));
   }
 
@@ -501,6 +514,7 @@ TEST(StudyBlueprint, DirtyStateFuzzAcrossShapesThroughOneCache) {
     }
   }
   EXPECT_GT(cache.stats().misses, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);  // some cells did share a blueprint
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Report fresh = run_cell(cells[i].config, cells[i].app, cells[i].nodes);
     EXPECT_EQ(shared[i], report_to_json(fresh))

@@ -117,21 +117,6 @@ TEST_P(PathTest, PathDiversityMatchesGatewayCount) {
   }
 }
 
-TEST_P(PathTest, PlanBackedOracleAnswersIdentically) {
-  // The blueprint-shared PathPlan must be observationally equivalent to the
-  // on-demand gateway scans for EVERY router pair — Study cells answer path
-  // queries off the shared tables, so any divergence would silently change
-  // simulation behaviour between a private plan and the shared one.
-  const PathPlan plan = PathPlan::build(topo_);
-  const PathOracle fast(topo_, &plan);
-  for (int s = 0; s < topo_.num_routers(); ++s) {
-    for (int d = 0; d < topo_.num_routers(); ++d) {
-      ASSERT_EQ(fast.minimal_hops(s, d), oracle_.minimal_hops(s, d)) << s << "->" << d;
-      ASSERT_EQ(fast.count_minimal(s, d), oracle_.count_minimal(s, d)) << s << "->" << d;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Topologies, PathTest,
                          ::testing::Values(DragonflyParams{1, 2, 2, 5},
                                            DragonflyParams{2, 4, 2, 9},
