@@ -20,10 +20,10 @@ general-purpose tool enforces:
    container in a way that can reach simulation output.
 
  * **Routing const/mutable split** (core/blueprint.hpp): a routing policy's
-   data members are either immutable parameterisation (``const``, captured by
-   the SystemBlueprint key) or per-cell state that must be explicitly
-   registered in ROUTING_STATE below, so a new member cannot silently become
-   neither-shape-nor-reset state.
+   data members are either immutable parameterisation (``const``, set from
+   the cell's StudyConfig parameters such as ``ugal`` and ``qadp``) or
+   per-cell state that must be explicitly registered in ROUTING_STATE below,
+   so a new member cannot silently become neither-parameter-nor-reset state.
 
 Usage:
     tools/dfsim_lint.py [--root DIR] [--list-rules]
@@ -72,9 +72,9 @@ ALLOW_DET_ENV = {
     "byte-identical for any worker count, so the variable can never change results",
 }
 
-# Routing policies: per-cell mutable state deliberately NOT part of the
-# SystemBlueprint key. Everything else must be const (immutable
-# parameterisation, captured by the key) or mutable (scratch).
+# Routing policies: per-cell mutable state, rebuilt for every cell.
+# Everything else must be const (immutable parameterisation from the cell's
+# StudyConfig) or mutable (scratch).
 ROUTING_STATE = {
     "QAdaptiveRouting": {
         "engine_": "event-loop handle for feedback events (per cell)",
@@ -383,9 +383,10 @@ def rule_routing_state(src: SourceFile) -> list[Finding]:
     """routing-state: the const/mutable split of routing policy classes.
 
     In src/routing/*.hpp, every data member of a class deriving from
-    RoutingAlgorithm must be `const` (immutable parameterisation — the part
-    the SystemBlueprint key captures), `mutable`/`static` (scratch), or
-    registered as per-cell state in ROUTING_STATE with a justification."""
+    RoutingAlgorithm must be `const` (immutable parameterisation — the
+    StudyConfig parameters the policy is built from), `mutable`/`static`
+    (scratch), or registered as per-cell state in ROUTING_STATE with a
+    justification."""
     if not src.rel.startswith("src/routing/") or not src.rel.endswith(".hpp"):
         return []
     text = "\n".join(src.code_lines)
@@ -427,11 +428,11 @@ def rule_routing_state(src: SourceFile) -> list[Finding]:
                     src.rel,
                     line_no,
                     "routing-state",
-                    f"{name}::{member} is neither const (blueprint-key "
+                    f"{name}::{member} is neither const (StudyConfig "
                     "parameterisation) nor mutable scratch nor registered per-cell "
-                    "state — add it to the policy's params struct (and the "
-                    "BlueprintKey) or to ROUTING_STATE in tools/dfsim_lint.py with "
-                    "a justification",
+                    "state — make it a const member set from the policy's params "
+                    "struct in StudyConfig, or add it to ROUTING_STATE in "
+                    "tools/dfsim_lint.py with a justification",
                 )
             )
     return findings
