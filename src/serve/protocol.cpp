@@ -15,10 +15,11 @@ namespace dfly::serve {
 
 namespace {
 
-/// Minimal recursive-descent JSON reader over exactly the shapes the
-/// protocol uses: one object of string keys whose values are strings,
-/// objects-of-strings, or scalars (read as their text). Kept deliberately smaller than
-/// a general JSON library — unknown structure is an error, not a tree.
+/// Minimal recursive-descent JSON reader over the shapes the protocol uses:
+/// requests are one object of string keys whose values are strings,
+/// objects-of-strings, or scalars (read as their text); find_field walks
+/// any value to read one field of a control line or cell record. Kept
+/// deliberately smaller than a general JSON library — it builds no tree.
 class JsonReader {
  public:
   explicit JsonReader(const std::string& text) : text_(text) {}
@@ -133,6 +134,37 @@ class JsonReader {
     fail("unsupported value");
   }
 
+  /// Walk one value of any shape. When an object field named `key` with a
+  /// string or scalar value comes first in document order (at any depth),
+  /// store that value in `out` and return true, leaving the rest unread.
+  bool find_field(const std::string& key, std::string& out) {
+    const char open = peek();
+    if (open == '"') {
+      parse_string();
+      return false;
+    }
+    if (open != '{' && open != '[') {
+      parse_scalar();
+      return false;
+    }
+    const char close = open == '{' ? '}' : ']';
+    ++pos_;
+    if (consume(close)) return false;
+    for (;;) {
+      if (open == '{') {
+        const std::string name = parse_string();
+        expect(':');
+        if (name == key && peek() != '{' && peek() != '[') {
+          out = peek() == '"' ? parse_string() : parse_scalar();
+          return true;
+        }
+      }
+      if (find_field(key, out)) return true;
+      if (consume(close)) return false;
+      expect(',');
+    }
+  }
+
   /// Parse {"k":"v",...} where every value must be a string.
   std::vector<std::pair<std::string, std::string>> parse_string_object() {
     std::vector<std::pair<std::string, std::string>> out;
@@ -228,16 +260,8 @@ bool is_control_line(const std::string& line) {
 
 std::string control_field(const std::string& line, const std::string& key) {
   JsonReader in(line);
-  in.expect('{');
-  if (in.consume('}')) return "";
-  for (;;) {
-    const std::string name = in.parse_string();
-    in.expect(':');
-    std::string value = in.peek() == '"' ? in.parse_string() : in.parse_scalar();
-    if (name == key) return value;
-    if (in.consume('}')) return "";
-    in.expect(',');
-  }
+  std::string value;
+  return in.find_field(key, value) ? value : "";
 }
 
 // --- socket helpers ----------------------------------------------------------

@@ -54,10 +54,11 @@ std::string format_request(const Request& request);
 /// cell record (prefix test, see the protocol comment above).
 bool is_control_line(const std::string& line);
 
-/// The value of `key` in a control line: a string field decoded exactly as
-/// JsonWriter escaped it, a number or boolean as its text, "" when the key
-/// is absent. Throws std::invalid_argument when the line is not a flat JSON
-/// object. Clients and tests read {"serve":...} responses with it.
+/// The value of the first field named `key` in a JSON line, at any depth: a
+/// string decoded exactly as JsonWriter escaped it, a number or boolean as
+/// its text, "" when no such field holds a string or scalar. Throws
+/// std::invalid_argument on malformed JSON before that field. Clients and
+/// tests read {"serve":...} responses and fields of cell records with it.
 std::string control_field(const std::string& line, const std::string& key);
 
 // --- socket helpers ----------------------------------------------------------

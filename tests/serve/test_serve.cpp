@@ -222,6 +222,13 @@ TEST(ServeProtocol, ControlFieldRoundTripsEveryStringJsonWriterWrites) {
     EXPECT_EQ(serve::control_field(line, "serve"), "error") << line;
     EXPECT_EQ(serve::control_field(line, "cells"), "3") << line;
   }
+  // Cell records nest their fields: the first match in document order wins.
+  const std::string record =
+      R"({"cell":0,"jobs":[{"app":"UR","nodes":64}],"report":{"routing":"MIN",)"
+      R"("events_executed":284902,"apps":[{"app":"UR","events_executed":1}]}})";
+  EXPECT_EQ(serve::control_field(record, "events_executed"), "284902");
+  EXPECT_EQ(serve::control_field(record, "app"), "UR");
+  EXPECT_EQ(serve::control_field(record, "missing"), "");
 }
 
 TEST(ServeServer, SubmitStreamsByteIdenticalJsonlAndSpoolsTheCampaign) {
