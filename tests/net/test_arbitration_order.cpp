@@ -111,10 +111,19 @@ struct PinnedCell {
 
 // Recorded with the router that kept one RingQueue per request, stall and
 // input FIFO; any layout of router state must reproduce them exactly. A
-// change that moves one of these changed the router's service order.
+// change that moves one of these changed the router's service order. The
+// tiny-buffer cell runs every routing, so a change to one policy's decision
+// rule (or to a helper they share) shows up as well.
 constexpr PinnedCell kPinned[] = {
     {Cell::kTinyBuffers, "PAR", 0xcef9c9252d91a46eull},
     {Cell::kTinyBuffers, "Q-adp", 0x52e1428928df1325ull},
+    {Cell::kTinyBuffers, "MIN", 0x3d37c493ed15032eull},
+    {Cell::kTinyBuffers, "VALg", 0x548d310ce1391fbull},
+    {Cell::kTinyBuffers, "VALn", 0x94f4a9507fc6d1bull},
+    {Cell::kTinyBuffers, "UGALg", 0x48907bc1823cdec6ull},
+    {Cell::kTinyBuffers, "UGALn", 0x4278c5ff5fa4c41eull},
+    {Cell::kTinyBuffers, "FlowUGAL", 0xb29f038008af0369ull},
+    {Cell::kTinyBuffers, "AppAware", 0x226983572b083929ull},
     {Cell::kQos, "PAR", 0x85704c3e41571b45ull},
     {Cell::kQos, "Q-adp", 0x67714de9d27e4757ull},
     {Cell::kDegraded, "PAR", 0xd33d0f993c040bf4ull},
