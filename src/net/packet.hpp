@@ -10,8 +10,9 @@ namespace dfly {
 
 /// Route phases of the constrained Dragonfly path DFA. Every admissible path
 /// is a prefix-respecting walk of (local?, global, local?, global, local?),
-/// which all routing algorithms in this suite obey; the phase plus hop count
-/// determines the legal candidate ports at each router.
+/// which all routing algorithms in this suite obey. Only Q-adaptive routing
+/// tracks the phase (the other policies steer by int_group/reached_int);
+/// there the phase determines the legal candidate ports at each router.
 enum class RoutePhase : std::uint8_t {
   kAtSource = 0,      ///< at the injection router, no hops taken
   kSrcLocalDone = 1,  ///< took a local hop in the source group; must go global

@@ -2,10 +2,10 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "core/blueprint.hpp"
 #include "net/nic.hpp"
-#include "sim/log.hpp"
 
 namespace dfly {
 
@@ -93,15 +93,7 @@ void Router::handle(Engine& engine, const Event& event) {
 void Router::on_arrive(Engine& engine, std::uint32_t packet_id, int in_port, int in_vc) {
   Packet& pkt = pool_->get(packet_id);
   assert(routing_ != nullptr && "router has no routing algorithm");
-  if (in_port >= topo_->radix() || in_vc >= cfg_->num_vcs) {
-    // A VC index beyond the budget means a routing policy produced a path
-    // longer than the admissible DFA allows (a potential livelock). Fail
-    // loudly rather than corrupt buffer state.
-    DFLY_LOG_ERROR("router %d: packet %u arrived on port %d vc %d (radix %d, vcs %d) — "
-                   "routing policy violated the hop budget",
-                   id_, packet_id, in_port, in_vc, topo_->radix(), cfg_->num_vcs);
-    std::abort();
-  }
+  assert(in_port < topo_->radix() && in_vc < cfg_->num_vcs && "the sender checked out_vc");
   const int q = in_port * cfg_->num_vcs + in_vc;
   InputFifo& input = inputs_[static_cast<std::size_t>(q)];
   assert(input.size < cfg_->buffer_packets &&
@@ -114,6 +106,17 @@ void Router::on_arrive(Engine& engine, std::uint32_t packet_id, int in_port, int
   pkt.enter_router_time = engine.now();
   const RouteDecision decision = routing_->route(*this, pkt);
   assert(decision.out_port >= 0 && decision.out_port < topo_->radix());
+  if (decision.out_vc >= cfg_->num_vcs) {
+    // vc_for is the hop count, so a path with more router hops than
+    // net.num_vcs has no VC left here. Fail the cell before the VC indexes
+    // this router's credits or the next router's buffers.
+    throw std::logic_error("router " + std::to_string(id_) + ": packet " +
+                           std::to_string(packet_id) + " needs vc " +
+                           std::to_string(decision.out_vc) + " on port " +
+                           std::to_string(decision.out_port) + " (net.num_vcs " +
+                           std::to_string(cfg_->num_vcs) +
+                           "): the routing policy's path needs more VCs");
+  }
   pkt.out_port = decision.out_port;
   pkt.out_vc = decision.out_vc;
 

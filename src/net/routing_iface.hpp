@@ -24,8 +24,9 @@ class RoutingAlgorithm {
 
   virtual std::string name() const = 0;
 
-  /// Decide the output port/VC for `pkt` sitting at `router`. Must also
-  /// advance pkt.phase / flags to reflect the decision.
+  /// Decide the output port/VC for `pkt` sitting at `router`, updating the
+  /// packet's path bookkeeping (Valiant midpoint, phase) that the policy's
+  /// later hops read.
   virtual RouteDecision route(Router& router, Packet& pkt) = 0;
 
   /// Called after `pkt` arrived at `router` (before route). Learning

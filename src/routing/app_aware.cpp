@@ -62,27 +62,10 @@ RouteDecision AppAwareUgalRouting::route(Router& router, Packet& pkt) {
     note_injection(pkt.app_id, pkt.bytes, router.engine().now());
   }
   if (pkt.hops == 0 && dst_group != router.group()) {
-    Candidate best_min;
-    for (int i = 0; i < p_.ugal.min_candidates; ++i) {
-      const Candidate c = sample_minimal(router, pkt);
-      if (best_min.port < 0 || c.occupancy < best_min.occupancy) best_min = c;
-    }
-    Candidate best_nonmin;
-    for (int i = 0; i < p_.ugal.nonmin_candidates; ++i) {
-      const Candidate c = sample_nonminimal(router, pkt, /*pick_router=*/true);
-      if (c.int_group < 0) continue;
-      if (best_nonmin.port < 0 || c.occupancy < best_nonmin.occupancy) best_nonmin = c;
-    }
-    const bool go_minimal =
-        best_nonmin.port < 0 || best_min.occupancy <= p_.ugal.nonmin_weight *
-                                                              best_nonmin.occupancy +
-                                                          bias_of(pkt.app_id);
-    if (!go_minimal) {
-      commit_valiant(pkt, best_nonmin.int_group, best_nonmin.int_router);
-      pkt.phase = RoutePhase::kAtSource;
-      return RouteDecision{static_cast<std::int16_t>(best_nonmin.port), vc_for(pkt)};
-    }
-    return RouteDecision{static_cast<std::int16_t>(best_min.port), vc_for(pkt)};
+    const Candidate c =
+        ugal_choose(router, pkt, p_.ugal, /*pick_router=*/true, bias_of(pkt.app_id));
+    if (c.int_group >= 0) commit_valiant(pkt, c.int_group, c.int_router);
+    return RouteDecision{static_cast<std::int16_t>(c.port), vc_for(pkt)};
   }
   return continue_route(router, pkt);
 }

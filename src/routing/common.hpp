@@ -3,6 +3,7 @@
 #include "net/packet.hpp"
 #include "net/router.hpp"
 #include "net/routing_iface.hpp"
+#include "routing/ugal.hpp"
 
 namespace dfly::routing {
 
@@ -52,5 +53,16 @@ Candidate sample_minimal(Router& r, const Packet& pkt);
 /// and destination groups). When `pick_router`, a random midpoint router in
 /// that group is also drawn (UGALn/PAR semantics).
 Candidate sample_nonminimal(Router& r, const Packet& pkt, bool pick_router);
+
+/// The UGAL rule shared by every adaptive policy: minimal wins while
+/// q_min <= nonmin_weight * q_nonmin + bias.
+bool prefers_minimal(int q_min, int q_nonmin, const UgalParams& params, int bias);
+
+/// UGAL source decision: draws `min_candidates` minimal samples, then
+/// `nonmin_candidates` non-minimal ones (see sample_nonminimal), keeps the
+/// first least-occupied sample of each and applies prefers_minimal; a tie
+/// goes minimal. The winner is non-minimal iff its `int_group >= 0`.
+Candidate ugal_choose(Router& r, const Packet& pkt, const UgalParams& params, bool pick_router,
+                      int bias);
 
 }  // namespace dfly::routing

@@ -31,7 +31,8 @@ struct RoutingContext {
   const std::vector<QTable>* qinit{nullptr};
 };
 
-/// Names: "MIN", "VALg", "VALn", "UGALg", "UGALn", "PAR", "Q-adp".
+/// Names: "MIN", "VALg", "VALn", "UGALg", "UGALn", "PAR", "FlowUGAL", "AppAware",
+/// "Q-adp" (all_routings()); anything else throws std::invalid_argument.
 std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name,
                                                const RoutingContext& context);
 

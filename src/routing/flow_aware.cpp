@@ -8,31 +8,10 @@ FlowAwareRouting::FlowEntry FlowAwareRouting::decide(Router& router, Packet& pkt
   // Same sampled decision rule as UgalRouting (UGALn variant: a midpoint
   // router is drawn for non-minimal paths), but the outcome is recorded for
   // the whole flow instead of applying to one packet.
-  Candidate best_min;
-  for (int i = 0; i < params_.ugal.min_candidates; ++i) {
-    const Candidate c = sample_minimal(router, pkt);
-    if (best_min.port < 0 || c.occupancy < best_min.occupancy) best_min = c;
-  }
-  Candidate best_nonmin;
-  for (int i = 0; i < params_.ugal.nonmin_candidates; ++i) {
-    const Candidate c = sample_nonminimal(router, pkt, /*pick_router=*/true);
-    if (c.int_group < 0) continue;
-    if (best_nonmin.port < 0 || c.occupancy < best_nonmin.occupancy) best_nonmin = c;
-  }
-  const bool go_minimal =
-      best_nonmin.port < 0 ||
-      best_min.occupancy <= params_.ugal.nonmin_weight * best_nonmin.occupancy +
-                                params_.ugal.bias;
-  FlowEntry entry;
-  entry.decided_at = router.engine().now();
-  if (go_minimal) {
-    entry.port = static_cast<std::int16_t>(best_min.port);
-  } else {
-    entry.port = static_cast<std::int16_t>(best_nonmin.port);
-    entry.int_group = static_cast<std::int16_t>(best_nonmin.int_group);
-    entry.int_router = static_cast<std::int16_t>(best_nonmin.int_router);
-  }
-  return entry;
+  const Candidate c =
+      ugal_choose(router, pkt, params_.ugal, /*pick_router=*/true, params_.ugal.bias);
+  return FlowEntry{static_cast<std::int16_t>(c.port), static_cast<std::int16_t>(c.int_group),
+                   static_cast<std::int16_t>(c.int_router), router.engine().now()};
 }
 
 RouteDecision FlowAwareRouting::route(Router& router, Packet& pkt) {
@@ -50,10 +29,7 @@ RouteDecision FlowAwareRouting::route(Router& router, Packet& pkt) {
       ++refreshes_;
     }
     const FlowEntry& entry = *slot;
-    if (entry.int_group >= 0) {
-      commit_valiant(pkt, entry.int_group, entry.int_router);
-      pkt.phase = RoutePhase::kAtSource;
-    }
+    if (entry.int_group >= 0) commit_valiant(pkt, entry.int_group, entry.int_router);
     return RouteDecision{entry.port, vc_for(pkt)};
   }
   return continue_route(router, pkt);

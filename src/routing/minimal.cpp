@@ -105,8 +105,31 @@ Candidate sample_nonminimal(Router& r, const Packet& pkt, bool pick_router) {
   return c;
 }
 
+bool prefers_minimal(int q_min, int q_nonmin, const UgalParams& params, int bias) {
+  return q_min <= params.nonmin_weight * q_nonmin + bias;
+}
+
+Candidate ugal_choose(Router& r, const Packet& pkt, const UgalParams& params, bool pick_router,
+                      int bias) {
+  Candidate best_min;
+  for (int i = 0; i < params.min_candidates; ++i) {
+    const Candidate c = sample_minimal(r, pkt);
+    if (best_min.port < 0 || c.occupancy < best_min.occupancy) best_min = c;
+  }
+  Candidate best_nonmin;
+  for (int i = 0; i < params.nonmin_candidates; ++i) {
+    const Candidate c = sample_nonminimal(r, pkt, pick_router);
+    if (c.int_group < 0) continue;  // degenerate small system
+    if (best_nonmin.port < 0 || c.occupancy < best_nonmin.occupancy) best_nonmin = c;
+  }
+  if (best_nonmin.port < 0 ||
+      prefers_minimal(best_min.occupancy, best_nonmin.occupancy, params, bias)) {
+    return best_min;
+  }
+  return best_nonmin;
+}
+
 RouteDecision MinimalRouting::route(Router& router, Packet& pkt) {
-  pkt.phase = RoutePhase::kDstGroup;  // phases are not used by static minimal
   return continue_route(router, pkt);
 }
 

@@ -35,26 +35,13 @@ RouteDecision ParRouting::route(Router& router, Packet& pkt) {
 
   if (pkt.hops == 0 && dst_group != router.group()) {
     // Initial UGALn-style comparison; a minimal outcome stays revisable.
-    Candidate best_min;
-    for (int i = 0; i < params_.min_candidates; ++i) {
-      const Candidate c = sample_minimal(router, pkt);
-      if (best_min.port < 0 || c.occupancy < best_min.occupancy) best_min = c;
+    const Candidate c = ugal_choose(router, pkt, params_, /*pick_router=*/true, params_.bias);
+    if (c.int_group >= 0) {
+      commit_valiant(pkt, c.int_group, c.int_router);
+    } else {
+      pkt.par_revisable = true;
     }
-    Candidate best_nonmin;
-    for (int i = 0; i < params_.nonmin_candidates; ++i) {
-      const Candidate c = sample_nonminimal(router, pkt, /*pick_router=*/true);
-      if (c.int_group < 0) continue;
-      if (best_nonmin.port < 0 || c.occupancy < best_nonmin.occupancy) best_nonmin = c;
-    }
-    const bool go_minimal =
-        best_nonmin.port < 0 ||
-        best_min.occupancy <= params_.nonmin_weight * best_nonmin.occupancy + params_.bias;
-    if (!go_minimal) {
-      commit_valiant(pkt, best_nonmin.int_group, best_nonmin.int_router);
-      return RouteDecision{static_cast<std::int16_t>(best_nonmin.port), vc_for(pkt)};
-    }
-    pkt.par_revisable = true;
-    return RouteDecision{static_cast<std::int16_t>(best_min.port), vc_for(pkt)};
+    return RouteDecision{static_cast<std::int16_t>(c.port), vc_for(pkt)};
   }
 
   // Progressive revision: still minimal, still in the source group.
@@ -68,7 +55,7 @@ RouteDecision ParRouting::route(Router& router, Packet& pkt) {
     }
     pkt.par_revisable = false;  // one revision opportunity
     if (best_nonmin.port >= 0 &&
-        min_cont.occupancy > params_.nonmin_weight * best_nonmin.occupancy + params_.bias) {
+        !prefers_minimal(min_cont.occupancy, best_nonmin.occupancy, params_, params_.bias)) {
       commit_valiant(pkt, best_nonmin.int_group, best_nonmin.int_router);
       return RouteDecision{static_cast<std::int16_t>(best_nonmin.port), vc_for(pkt)};
     }

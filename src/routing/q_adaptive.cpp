@@ -93,59 +93,60 @@ QAdaptiveRouting::QAdaptiveRouting(Engine& engine, const Dragonfly& topo, const 
          "initial Q-tables built for a different system shape");
 }
 
-void QAdaptiveRouting::candidates(Router& router, const Packet& pkt, std::vector<int>& out) const {
-  out.clear();
+template <typename Visit>
+void QAdaptiveRouting::for_each_admissible(int router_id, int dst_group, const Packet& pkt,
+                                           Visit&& visit) const {
   const Dragonfly& topo = *topo_;
-  const int r = router.id();
-  const int dst_router = topo.router_of_node(pkt.dst_node);
-  const int dst_group = topo.group_of_router(dst_router);
-  const int my_group = topo.group_of_router(r);
-
-  if (my_group == dst_group) {
-    out.push_back(topo.local_port_to(r, topo.local_index(dst_router)));
-    return;
-  }
+  const int my_group = topo.group_of_router(router_id);
   switch (pkt.phase) {
+    case RoutePhase::kDstGroup:
+      // Set only on entering the destination group, where callers take the
+      // in-group port before walking.
+      assert(false && "kDstGroup outside the destination group");
+      [[fallthrough]];
     case RoutePhase::kAtSource:
-      for (int p = topo.first_local_port(); p < topo.radix(); ++p) out.push_back(p);
+      for (int p = topo.first_local_port(); p < topo.radix(); ++p) visit(p);
       return;
     case RoutePhase::kSrcLocalDone:
       // Leaving the source group: any global port (the landing group becomes
       // the single allowed intermediate group if it is not the destination).
-      for (int p = topo.first_global_port(); p < topo.radix(); ++p) out.push_back(p);
+      for (int p = topo.first_global_port(); p < topo.radix(); ++p) visit(p);
       return;
     case RoutePhase::kMidLocalDone:
       // The intermediate group's local hop was spent reaching a gateway:
       // only this router's own globals toward the destination remain legal
       // (anything else would start a second detour and risk livelock).
       for (const auto& e : topo.gateways(my_group, dst_group)) {
-        if (e.router == r) out.push_back(topo.global_port(e.global_port));
+        if (e.router == router_id) visit(topo.global_port(e.global_port));
       }
       return;
-    case RoutePhase::kMidGroup: {
+    case RoutePhase::kMidGroup:
       // Minimal continuation only: own globals to the destination group plus
-      // local hops to that group's gateways.
+      // local hops to that group's gateways (a gateway with several links is
+      // visited once per link).
       for (const auto& e : topo.gateways(my_group, dst_group)) {
-        if (e.router == r) {
-          out.push_back(topo.global_port(e.global_port));
-        } else {
-          const int port = topo.local_port_to(r, topo.local_index(e.router));
-          bool seen = false;
-          for (const int q : out) {
-            if (q == port) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) out.push_back(port);
-        }
+        visit(e.router == router_id ? topo.global_port(e.global_port)
+                                    : topo.local_port_to(router_id, topo.local_index(e.router)));
       }
-      return;
-    }
-    case RoutePhase::kDstGroup:
-      out.push_back(topo.local_port_to(r, topo.local_index(dst_router)));
       return;
   }
+}
+
+void QAdaptiveRouting::candidates(Router& router, const Packet& pkt, std::vector<int>& out) const {
+  out.clear();
+  const Dragonfly& topo = *topo_;
+  const int r = router.id();
+  const int dst_router = topo.router_of_node(pkt.dst_node);
+  const int dst_group = topo.group_of_router(dst_router);
+  if (router.group() == dst_group) {
+    out.push_back(topo.local_port_to(r, topo.local_index(dst_router)));
+    return;
+  }
+  // route()'s epsilon pick indexes this list: keep kMidGroup's repeats out.
+  const bool dedup = pkt.phase == RoutePhase::kMidGroup;
+  for_each_admissible(r, dst_group, pkt, [&](int port) {
+    if (!dedup || std::find(out.begin(), out.end(), port) == out.end()) out.push_back(port);
+  });
 }
 
 RouteDecision QAdaptiveRouting::route(Router& router, Packet& pkt) {
@@ -209,35 +210,10 @@ double QAdaptiveRouting::best_estimate(int router_id, int dst_router, const Pack
     const int direct = topo.local_port_to(router_id, topo.local_index(dst_router));
     return table.local_q(topo.local_index(dst_router), direct);
   }
-  // Phase-aware minimum over the same candidate set route() would use.
+  // Minimum over the same candidate set route() would use.
   double best = kUnreachable;
-  switch (pkt.phase) {
-    case RoutePhase::kSrcLocalDone:
-      for (int p = topo.first_global_port(); p < topo.radix(); ++p) {
-        best = std::min(best, table.global_q(dst_group, p));
-      }
-      break;
-    case RoutePhase::kMidLocalDone:
-      for (const auto& e : topo.gateways(my_group, dst_group)) {
-        if (e.router == router_id) {
-          best = std::min(best, table.global_q(dst_group, topo.global_port(e.global_port)));
-        }
-      }
-      break;
-    case RoutePhase::kMidGroup:
-      for (const auto& e : topo.gateways(my_group, dst_group)) {
-        const int p = e.router == router_id
-                          ? topo.global_port(e.global_port)
-                          : topo.local_port_to(router_id, topo.local_index(e.router));
-        best = std::min(best, table.global_q(dst_group, p));
-      }
-      break;
-    default:
-      for (int p = topo.first_local_port(); p < topo.radix(); ++p) {
-        best = std::min(best, table.global_q(dst_group, p));
-      }
-      break;
-  }
+  for_each_admissible(router_id, dst_group, pkt,
+                      [&](int p) { best = std::min(best, table.global_q(dst_group, p)); });
   return best;
 }
 

@@ -74,8 +74,13 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
   /// destination router `dst` (phase-aware candidate set).
   double best_estimate(int router_id, int dst_router, const Packet& pkt) const;
 
-  /// Admissible candidate ports for `pkt` at `router`.
+  /// Admissible candidate ports for `pkt` at `router`, each listed once.
   void candidates(Router& router, const Packet& pkt, std::vector<int>& out) const;
+
+  /// Calls `visit(port)` for each port the packet's route phase admits at
+  /// `router_id`, a router outside the destination group `dst_group`.
+  template <typename Visit>
+  void for_each_admissible(int router_id, int dst_group, const Packet& pkt, Visit&& visit) const;
 
   // Immutable parameterisation (shared-plan side of the const/mutable split).
   const Dragonfly* topo_;

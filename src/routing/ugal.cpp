@@ -5,30 +5,12 @@
 namespace dfly::routing {
 
 RouteDecision UgalRouting::route(Router& router, Packet& pkt) {
-  const Dragonfly& topo = router.topo();
-  const int dst_group = topo.group_of_router(dst_router_of(router, pkt));
+  const int dst_group = router.topo().group_of_router(dst_router_of(router, pkt));
   if (pkt.hops == 0 && dst_group != router.group()) {
     // One-time source decision over sampled candidates.
-    Candidate best_min;
-    for (int i = 0; i < params_.min_candidates; ++i) {
-      const Candidate c = sample_minimal(router, pkt);
-      if (best_min.port < 0 || c.occupancy < best_min.occupancy) best_min = c;
-    }
-    Candidate best_nonmin;
-    for (int i = 0; i < params_.nonmin_candidates; ++i) {
-      const Candidate c = sample_nonminimal(router, pkt, node_variant_);
-      if (c.int_group < 0) continue;  // degenerate small system
-      if (best_nonmin.port < 0 || c.occupancy < best_nonmin.occupancy) best_nonmin = c;
-    }
-    const bool go_minimal =
-        best_nonmin.port < 0 ||
-        best_min.occupancy <= params_.nonmin_weight * best_nonmin.occupancy + params_.bias;
-    if (!go_minimal) {
-      commit_valiant(pkt, best_nonmin.int_group, best_nonmin.int_router);
-      pkt.phase = RoutePhase::kAtSource;
-      return RouteDecision{static_cast<std::int16_t>(best_nonmin.port), vc_for(pkt)};
-    }
-    return RouteDecision{static_cast<std::int16_t>(best_min.port), vc_for(pkt)};
+    const Candidate c = ugal_choose(router, pkt, params_, node_variant_, params_.bias);
+    if (c.int_group >= 0) commit_valiant(pkt, c.int_group, c.int_router);
+    return RouteDecision{static_cast<std::int16_t>(c.port), vc_for(pkt)};
   }
   return continue_route(router, pkt);
 }

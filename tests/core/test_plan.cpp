@@ -820,6 +820,37 @@ TEST(PlanFromConfig, InvalidNetConfigFailsItsCellNotTheProcess) {
   EXPECT_TRUE(sink.reports()[1].completed);
 }
 
+TEST(PlanFromConfig, VcOverrunFailsItsCellNotTheProcess) {
+  // PAR paths take more router hops than three VCs cover. The process used
+  // to abort once such a packet arrived; now the router whose decision picks
+  // the missing VC throws, so the cell fails on its own, once (a logic error
+  // is not retried), with net.num_vcs named. At jobs = 1 the next cell runs on the same worker and
+  // reuses the arena the failed cell's Study returned; its line must still
+  // match the same cell run alone on this thread, where nothing is bound.
+  const ExperimentPlan plan = plan_from_config(ConfigFile::parse(
+      "topo.p = 2\ntopo.a = 4\ntopo.h = 2\ntopo.g = 9\nscale = 64\n"
+      "plan.mode = single\nplan.jobs = UR:72\nplan.routings = PAR\n"
+      "plan.variant.overrun = net.num_vcs=3\nplan.variant.plain =\n"));
+  CollectSink collect;
+  std::ostringstream jsonl;
+  JsonlSink lines(jsonl);
+  TeeSink sink({&collect, &lines});
+  const PlanOutcome outcome = run_plan(plan, sink, 1);
+  EXPECT_EQ(outcome.cells, 2u);
+  EXPECT_EQ(outcome.completed, 1u);
+  ASSERT_EQ(outcome.failures.size(), 1u);
+  EXPECT_EQ(outcome.failures[0].index, 0u);  // variants run in label order
+  EXPECT_EQ(outcome.failures[0].attempts, 1);
+  EXPECT_NE(outcome.failures[0].message.find("net.num_vcs 3"), std::string::npos)
+      << outcome.failures[0].message;
+  EXPECT_FALSE(outcome.worker_errors.any());
+  EXPECT_EQ(collect.failures().size(), 1u);
+
+  const PlanCell& survivor = collect.cells()[1];
+  EXPECT_EQ(survivor.variant, "plain");
+  EXPECT_EQ(jsonl.str(), plan_cell_jsonl(survivor, run_plan_cell(plan, survivor)) + "\n");
+}
+
 TEST(PlanFromConfig, FileRunMatchesProgrammaticPlan) {
   const std::string path = std::string(::testing::TempDir()) + "/dfly_plan.cfg";
   {
