@@ -172,6 +172,81 @@ TEST(QAdaptive, HopBudgetHoldsOnPaperTopologyUnderLoad) {
   EXPECT_EQ(net.pool().in_use(), 0u);
 }
 
+/// The unloaded estimate of leaving router `r` through `port` toward group
+/// row `gd` (gd < g) or in-group row `gd - g`, by the original gateway scan:
+/// the reference the closed-form fill must match bit for bit.
+double reference_estimate(const Dragonfly& topo, const NetConfig& cfg, int r, int row, int port) {
+  constexpr double kUnreachable = 1e18;
+  const auto hop = [&](bool global) {
+    return static_cast<double>(cfg.packet_serialization()) +
+           static_cast<double>(global ? cfg.global_latency : cfg.local_latency) +
+           static_cast<double>(cfg.router_latency);
+  };
+  const double lc = hop(false);
+  const double gc = hop(true);
+  if (topo.is_terminal_port(port)) return kUnreachable;
+  const Dragonfly::Wire wire = topo.wire(r, port);
+  const double first = wire.global ? gc : lc;
+  if (row >= topo.num_groups()) {
+    const int dl = row - topo.num_groups();
+    if (dl == topo.local_index(r)) return 0.0;
+    const bool direct = !wire.global && topo.local_index(wire.peer_router) == dl &&
+                        topo.group_of_router(wire.peer_router) == topo.group_of_router(r);
+    return direct ? lc : 3.0 * lc;
+  }
+  const int gd = row;
+  const int peer = wire.peer_router;
+  const int peer_group = topo.group_of_router(peer);
+  double rem;
+  if (peer_group == gd) {
+    rem = lc;
+  } else if (!topo.gateways(peer_group, gd).empty()) {
+    bool own = false;
+    for (const auto& e : topo.gateways(peer_group, gd)) {
+      if (e.router == peer) {
+        own = true;
+        break;
+      }
+    }
+    rem = (own ? 0.0 : lc) + gc + lc;
+  } else {
+    rem = kUnreachable;
+  }
+  return rem >= kUnreachable ? kUnreachable : first + rem;
+}
+
+TEST(QAdaptive, InitialEstimatesMatchTheGatewayScanBitForBit) {
+  struct Shape {
+    const char* name;
+    DragonflyParams params;
+    int links_per_group_pair;
+  };
+  DragonflyParams absolute = DragonflyParams::paper();
+  absolute.arrangement = GlobalArrangement::kAbsolute;
+  const std::vector<Shape> shapes{{"tiny", DragonflyParams::tiny(), 1},
+                                  {"paper", DragonflyParams::paper(), 1},
+                                  {"two links per group pair", DragonflyParams{2, 4, 4, 9}, 2},
+                                  {"absolute arrangement", absolute, 1}};
+  for (const Shape& shape : shapes) {
+    const Dragonfly topo(shape.params);
+    ASSERT_EQ(topo.links_per_group_pair(), shape.links_per_group_pair) << shape.name;
+    const NetConfig cfg;
+    const std::vector<QTable> tables = routing::build_initial_qtables(topo, cfg);
+    const int g = topo.num_groups();
+    for (int r = 0; r < topo.num_routers(); ++r) {
+      for (int row = 0; row < g + topo.params().a; ++row) {
+        for (int port = 0; port < topo.radix(); ++port) {
+          const QTable& table = tables[static_cast<std::size_t>(r)];
+          const double got =
+              row < g ? table.global_q(row, port) : table.local_q(row - g, port);
+          EXPECT_EQ(got, reference_estimate(topo, cfg, r, row, port))
+              << shape.name << ": router " << r << " row " << row << " port " << port;
+        }
+      }
+    }
+  }
+}
+
 class QAdaptiveParamsSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(QAdaptiveParamsSweep, DeliversUnderAnyLearningRate) {
