@@ -402,13 +402,11 @@ void BM_NetworkPacketRate(benchmark::State& state) {
   // benchmark measures engine/network packet rate, not plan construction).
   StudyConfig bp_config;
   bp_config.topo = DragonflyParams::tiny();
-  bp_config.routing = routing_name;
   const auto bp = SystemBlueprint::build(bp_config);
   const Dragonfly& topo = bp->topo();
   for (auto _ : state) {
     Engine engine;
-    routing::RoutingContext context{&engine,  &topo, &bp->net(), 1, {}, {},
-                                    bp->initial_qtables()};
+    routing::RoutingContext context{&engine, &topo, &bp->net(), 1};
     auto routing = routing::make_routing(routing_name, context);
     Network net(engine, *bp, *routing, 1, 1);
     Rng rng(7);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/study.hpp"
-#include "routing/q_adaptive.hpp"
 
 namespace dfly {
 
@@ -15,7 +14,7 @@ thread_local BlueprintCache* t_current_cache = nullptr;
 }  // namespace
 
 BlueprintKey BlueprintKey::of(const StudyConfig& config) {
-  return BlueprintKey{config.topo, config.net, config.routing == "Q-adp"};
+  return BlueprintKey{config.topo, config.net};
 }
 
 SystemBlueprint::SystemBlueprint(BlueprintKey key)
@@ -34,8 +33,8 @@ std::shared_ptr<const SystemBlueprint> SystemBlueprint::build(BlueprintKey key) 
   const Dragonfly& topo = bp->topo_;
 
   // Wiring plan: resolve every router output port once. Network's wiring
-  // loop and Q-adaptive's initial estimates both read these entries instead
-  // of re-deriving the arrangement arithmetic per cell.
+  // loop reads these entries instead of re-deriving the arrangement
+  // arithmetic per cell.
   bp->ports_.resize(static_cast<std::size_t>(topo.num_routers()) *
                     static_cast<std::size_t>(bp->radix_));
   for (int r = 0; r < topo.num_routers(); ++r) {
@@ -51,10 +50,6 @@ std::shared_ptr<const SystemBlueprint> SystemBlueprint::build(BlueprintKey key) 
     }
   }
 
-  if (bp->key_.q_tables) {
-    bp->qinit_ = routing::build_initial_qtables(topo, bp->key_.net);
-  }
-
   // dfsim-lint: allow(det-clock) build_ms_ is cache diagnostics, not output
   const auto t1 = std::chrono::steady_clock::now();
   bp->build_ms_ =
@@ -65,7 +60,6 @@ std::shared_ptr<const SystemBlueprint> SystemBlueprint::build(BlueprintKey key) 
 std::size_t SystemBlueprint::footprint_bytes() const {
   std::size_t bytes = sizeof(SystemBlueprint);
   bytes += ports_.size() * sizeof(PortPlan);
-  for (const QTable& table : qinit_) bytes += table.footprint_bytes();
   // Gateways: one endpoint per (router, global port) plus the per-pair lists.
   bytes += static_cast<std::size_t>(topo_.num_routers()) *
            static_cast<std::size_t>(topo_.params().h) * sizeof(GlobalEndpoint);

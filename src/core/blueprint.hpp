@@ -8,7 +8,6 @@
 
 #include "net/config.hpp"
 #include "net/link.hpp"
-#include "routing/q_table.hpp"
 #include "sim/time.hpp"
 #include "stats/link_stats.hpp"
 #include "topo/dragonfly.hpp"
@@ -19,11 +18,13 @@
 /// 1,056-node Dragonfly, and each cell needs the same read-only tables. A
 /// SystemBlueprint builds them once per machine: the Dragonfly wiring
 /// tables, the link classes and latencies, the resolved per-port wiring
-/// plan, the NetConfig and, for Q-adp cells, the unloaded initial
-/// Q-tables. SubmissionQueue workers share one through a BlueprintCache,
-/// via shared_ptr. Routing, placement, MPI protocol, UGAL and Q-adp
-/// parameters and link faults are per-cell StudyConfig fields; the Study
-/// reads them from its config, never from the blueprint.
+/// plan and the NetConfig. It holds nothing routing-specific, so every
+/// routing on one machine shares one blueprint (Q-adp fills its initial
+/// Q-tables per cell, in closed form). SubmissionQueue workers share one
+/// through a BlueprintCache, via shared_ptr. Routing, placement, MPI
+/// protocol, UGAL and Q-adp parameters and link faults are per-cell
+/// StudyConfig fields; the Study reads them from its config, never from the
+/// blueprint.
 ///
 /// Blueprints are deeply immutable after build(): nothing in this class
 /// mutates during a run (const-enforced), so concurrent cells can read one
@@ -40,12 +41,10 @@ namespace dfly {
 
 struct StudyConfig;
 
-/// Everything SystemBlueprint's build reads: the machine, its net config,
-/// and whether the cell's routing ("Q-adp") needs initial Q-tables.
+/// Everything SystemBlueprint's build reads: the machine and its net config.
 struct BlueprintKey {
   DragonflyParams topo{};
   NetConfig net{};
-  bool q_tables{false};
 
   bool operator==(const BlueprintKey&) const = default;
 
@@ -82,12 +81,6 @@ class SystemBlueprint {
                   static_cast<std::size_t>(port)];
   }
 
-  /// Shared unloaded initial Q-tables — non-null only when the key's
-  /// q_tables is set (pass to RoutingContext::qinit).
-  const std::vector<QTable>* initial_qtables() const {
-    return qinit_.empty() ? nullptr : &qinit_;
-  }
-
   /// Wall-clock spent constructing this blueprint (bench_memory reports it).
   double build_ms() const { return build_ms_; }
 
@@ -106,7 +99,6 @@ class SystemBlueprint {
   LinkMap links_;
   int radix_;
   std::vector<PortPlan> ports_;
-  std::vector<QTable> qinit_;
   double build_ms_{0};
 };
 

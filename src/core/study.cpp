@@ -21,7 +21,7 @@ std::shared_ptr<const SystemBlueprint> resolve_blueprint(
     if (!(explicit_bp->key() == BlueprintKey::of(config))) {
       throw std::invalid_argument(
           "Study: the supplied SystemBlueprint was built for a different BlueprintKey "
-          "(topology, net config or Q-tables)");
+          "(topology or net config)");
     }
     return explicit_bp;
   }
@@ -98,13 +98,12 @@ const trace::MessageTrace& Study::trace(int app_id) const {
 
 void Study::build() {
   const int num_apps = static_cast<int>(pending_.size());
-  // Routing and network read their immutable inputs (topology, net config,
-  // initial Q-tables) out of the shared blueprint — the addresses are stable
-  // for the Study's lifetime because blueprint_ is held above — and their
-  // per-cell parameters (UGAL, Q-adp, faults) out of config_.
+  // Routing and network read their immutable inputs (topology, net config)
+  // out of the shared blueprint — the addresses are stable for the Study's
+  // lifetime because blueprint_ is held above — and their per-cell
+  // parameters (UGAL, Q-adp, faults) out of config_.
   routing::RoutingContext context{&engine_,     &blueprint_->topo(), &blueprint_->net(),
-                                  config_.seed, config_.ugal,        config_.qadp,
-                                  blueprint_->initial_qtables()};
+                                  config_.seed, config_.ugal,        config_.qadp};
   routing_ = routing::make_routing(config_.routing, context);
   network_ = std::make_unique<Network>(engine_, *blueprint_, *routing_, num_apps,
                                        config_.seed, config_.observability, arena_);

@@ -138,7 +138,7 @@ void Nic::try_inject(Engine& engine) {
   const auto payload =
       static_cast<std::int32_t>(chunk.remaining < cfg_->packet_bytes ? chunk.remaining
                                                                      : cfg_->packet_bytes);
-  Packet& pkt = pool_->alloc();
+  Packet& pkt = pool_->alloc();  // a default Packet: kAtSource, VC 0
   pkt.msg_id = chunk.msg_id;
   pkt.src_node = node_;
   pkt.dst_node = chunk.dst_node;
@@ -146,8 +146,6 @@ void Nic::try_inject(Engine& engine) {
   pkt.app_id = chunk.app_id;
   pkt.traffic_class = classes_ == nullptr ? 0 : classes_->klass(chunk.app_id);
   pkt.wire_time = engine.now();
-  pkt.out_vc = 0;
-  pkt.phase = RoutePhase::kAtSource;
 
   --credits_;
   const SimTime ser = cfg_->serialization(payload);

@@ -30,7 +30,7 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name,
   }
   if (name == "Q-adp") {
     return std::make_unique<QAdaptiveRouting>(*context.engine, *context.topo, *context.cfg,
-                                              context.qadp, context.seed, context.qinit);
+                                              context.qadp, context.seed);
   }
   throw std::invalid_argument("unknown routing algorithm: " + name);
 }

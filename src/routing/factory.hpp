@@ -15,10 +15,11 @@ namespace dfly::routing {
 
 /// Everything needed to instantiate any routing policy.
 ///
-/// `topo`, `cfg` and `qinit` point into the SystemBlueprint shared across
-/// cells; `ugal` and `qadp` are the cell's own StudyConfig parameters; the
-/// engine and seed feed the policy's per-cell mutable state (Rng streams,
-/// Q-tables, flow tables).
+/// `topo` and `cfg` point into the SystemBlueprint shared across cells;
+/// `ugal` and `qadp` are the cell's own StudyConfig parameters; the engine
+/// and seed feed the policy's per-cell mutable state (Rng streams, Q-tables,
+/// flow tables). No routing needs anything else from the blueprint: Q-adp
+/// fills its initial Q-tables itself.
 struct RoutingContext {
   Engine* engine;
   const Dragonfly* topo;
@@ -26,9 +27,6 @@ struct RoutingContext {
   std::uint64_t seed{1};
   UgalParams ugal{};
   QAdaptiveParams qadp{};
-  /// Blueprint-shared initial Q-tables for "Q-adp" (null = compute locally;
-  /// the instantiated tables are identical either way).
-  const std::vector<QTable>* qinit{nullptr};
 };
 
 /// Names: "MIN", "VALg", "VALn", "UGALg", "UGALn", "PAR", "FlowUGAL", "AppAware",

@@ -13,9 +13,7 @@ namespace dfly::routing {
 namespace {
 constexpr double kUnreachable = 1e18;
 constexpr std::uint32_t kFeedback = 1;
-}  // namespace
 
-namespace {
 double unloaded_hop_cost(const NetConfig& cfg, bool global) {
   const double ser = static_cast<double>(cfg.packet_serialization());
   const double wire = static_cast<double>(global ? cfg.global_latency : cfg.local_latency);
@@ -23,74 +21,59 @@ double unloaded_hop_cost(const NetConfig& cfg, bool global) {
 }
 }  // namespace
 
-std::vector<QTable> build_initial_qtables(const Dragonfly& topo, const NetConfig& cfg) {
-  std::vector<QTable> tables;
-  tables.reserve(static_cast<std::size_t>(topo.num_routers()));
-  for (int r = 0; r < topo.num_routers(); ++r) {
-    tables.emplace_back(topo.num_groups(), topo.params().a, topo.radix());
-  }
-  const double lc = unloaded_hop_cost(cfg, false);
-  const double gc = unloaded_hop_cost(cfg, true);
-  for (int r = 0; r < topo.num_routers(); ++r) {
-    QTable& table = tables[static_cast<std::size_t>(r)];
-    const int my_group = topo.group_of_router(r);
-    for (int port = 0; port < topo.radix(); ++port) {
-      const bool terminal = topo.is_terminal_port(port);
-      const Dragonfly::Wire wire = terminal ? Dragonfly::Wire{} : topo.wire(r, port);
-      for (int gd = 0; gd < topo.num_groups(); ++gd) {
-        if (terminal) {
-          table.set_global(gd, port, kUnreachable);
-          continue;
-        }
-        const int peer = wire.peer_router;
-        const int peer_group = topo.group_of_router(peer);
-        const double first = wire.global ? gc : lc;
-        double rem;
-        if (peer_group == gd) {
-          rem = lc;  // expected final local hop
-        } else if (!topo.gateways(peer_group, gd).empty()) {
-          bool own = false;
-          for (const auto& e : topo.gateways(peer_group, gd)) {
-            if (e.router == peer) {
-              own = true;
-              break;
-            }
-          }
-          rem = (own ? 0.0 : lc) + gc + lc;
-        } else {
-          rem = kUnreachable;
-        }
-        table.set_global(gd, port, rem >= kUnreachable ? kUnreachable : first + rem);
-      }
-      for (int dl = 0; dl < topo.params().a; ++dl) {
-        if (terminal) {
-          table.set_local(dl, port, kUnreachable);
-          continue;
-        }
-        if (dl == topo.local_index(r)) {
-          table.set_local(dl, port, 0.0);
-          continue;
-        }
-        const bool direct = !wire.global && topo.local_index(wire.peer_router) == dl &&
-                            topo.group_of_router(wire.peer_router) == my_group;
-        table.set_local(dl, port, direct ? lc : 3.0 * lc);
-      }
-    }
-  }
-  return tables;
-}
-
 QAdaptiveRouting::QAdaptiveRouting(Engine& engine, const Dragonfly& topo, const NetConfig& cfg,
-                                   QAdaptiveParams params, std::uint64_t seed,
-                                   const std::vector<QTable>* initial)
+                                   QAdaptiveParams params, std::uint64_t seed)
     : topo_(&topo),
       cfg_(&cfg),
       params_(params),
+      num_groups_(topo.num_groups()),
+      radix_(static_cast<std::size_t>(topo.radix())),
+      router_stride_(static_cast<std::size_t>(topo.num_groups() + topo.params().a) * radix_),
       engine_(&engine),
       rng_(seed, 0x0ADA97151ull),
-      tables_(initial != nullptr ? *initial : build_initial_qtables(topo, cfg)) {
-  assert(static_cast<int>(tables_.size()) == topo.num_routers() &&
-         "initial Q-tables built for a different system shape");
+      tables_(static_cast<std::size_t>(topo.num_routers()) * router_stride_) {
+  // Unloaded estimates: the first hop, then the fewest hops left from the
+  // peer. Each sum is associated as written so that every double equals the
+  // gateway-scan reference in tests/routing/test_qadaptive.cpp bit for bit.
+  // The Dragonfly constructor requires a*h % (g-1) == 0, so every group pair
+  // has a link: only a terminal port is ever unreachable, never a router port.
+  const double lc = unloaded_hop_cost(cfg, false);
+  const double gc = unloaded_hop_cost(cfg, true);
+  const int g = num_groups_;
+  const int a = topo.params().a;
+  for (int r = 0; r < topo.num_routers(); ++r) {
+    double* const base = tables_.data() + static_cast<std::size_t>(r) * router_stride_;
+    for (int port = 0; port < topo.radix(); ++port) {
+      const auto at = [&](int row) -> double& {
+        return base[static_cast<std::size_t>(row) * radix_ + static_cast<std::size_t>(port)];
+      };
+      if (topo.is_terminal_port(port)) {
+        for (int row = 0; row < g + a; ++row) at(row) = kUnreachable;
+        continue;
+      }
+      const Dragonfly::Wire wire = topo.wire(r, port);
+      const int peer = wire.peer_router;
+      const double first = wire.global ? gc : lc;
+      // Via a gateway of the peer's group: local, global, final local hop.
+      for (int gd = 0; gd < g; ++gd) at(gd) = first + ((lc + gc) + lc);
+      // The peer is itself a gateway to these groups: global, final local hop.
+      for (int k = 0; k < topo.params().h; ++k) {
+        at(topo.group_reached_by(peer, k)) = first + (gc + lc);
+      }
+      // The peer's own group: one final local hop.
+      at(topo.group_of_router(peer)) = first + lc;
+      for (int dl = 0; dl < a; ++dl) {
+        const bool direct = !wire.global && topo.local_index(peer) == dl;
+        at(g + dl) = dl == topo.local_index(r) ? 0.0 : direct ? lc : 3.0 * lc;
+      }
+    }
+  }
+}
+
+double QAdaptiveRouting::learn(int router, int row, int port, double sample) {
+  double& q = tables_[entry(router, row, port)];
+  q += params_.alpha * (sample - q);
+  return q;
 }
 
 template <typename Visit>
@@ -166,14 +149,14 @@ RouteDecision QAdaptiveRouting::route(Router& router, Packet& pkt) {
   } else if (rng_.next_bernoulli(params_.epsilon)) {
     chosen = scratch_[rng_.next_below(scratch_.size())];
   } else {
-    const QTable& table = tables_[static_cast<std::size_t>(router.id())];
+    const double* row =
+        &tables_[entry(router.id(), row_toward(my_group, dst_group, dst_router), 0)];
     const double ser = static_cast<double>(cfg_->packet_serialization());
     double best = std::numeric_limits<double>::infinity();
     chosen = scratch_.front();
     for (const int p : scratch_) {
-      const double q = my_group == dst_group ? table.local_q(topo.local_index(dst_router), p)
-                                             : table.global_q(dst_group, p);
-      const double score = q + params_.queue_weight * static_cast<double>(router.occupancy(p)) * ser;
+      const double score =
+          row[p] + params_.queue_weight * static_cast<double>(router.occupancy(p)) * ser;
       if (score < best) {
         best = score;
         chosen = p;
@@ -203,17 +186,15 @@ RouteDecision QAdaptiveRouting::route(Router& router, Packet& pkt) {
 double QAdaptiveRouting::best_estimate(int router_id, int dst_router, const Packet& pkt) const {
   if (router_id == dst_router) return 0.0;
   const Dragonfly& topo = *topo_;
-  const QTable& table = tables_[static_cast<std::size_t>(router_id)];
   const int dst_group = topo.group_of_router(dst_router);
   const int my_group = topo.group_of_router(router_id);
+  const double* row = &tables_[entry(router_id, row_toward(my_group, dst_group, dst_router), 0)];
   if (my_group == dst_group) {
-    const int direct = topo.local_port_to(router_id, topo.local_index(dst_router));
-    return table.local_q(topo.local_index(dst_router), direct);
+    return row[topo.local_port_to(router_id, topo.local_index(dst_router))];
   }
   // Minimum over the same candidate set route() would use.
   double best = kUnreachable;
-  for_each_admissible(router_id, dst_group, pkt,
-                      [&](int p) { best = std::min(best, table.global_q(dst_group, p)); });
+  for_each_admissible(router_id, dst_group, pkt, [&](int p) { best = std::min(best, row[p]); });
   return best;
 }
 
@@ -227,15 +208,13 @@ void QAdaptiveRouting::on_arrival(Router& router, Packet& pkt) {
 
   const int prev = pkt.prev_router;
   const int prev_port = pkt.prev_port;
-  const int dst_group = topo_->group_of_router(dst_router);
-  const bool local_row = topo_->group_of_router(prev) == dst_group;
-  const int row = local_row ? topo_->local_index(dst_router) : dst_group;
+  const int row =
+      row_toward(topo_->group_of_router(prev), topo_->group_of_router(dst_router), dst_router);
 
   const SimTime reverse = LinkMap::port_latency(*topo_, *cfg_, prev_port);
   const std::uint64_t a = static_cast<std::uint64_t>(prev) |
                           (static_cast<std::uint64_t>(prev_port) << 16) |
-                          (static_cast<std::uint64_t>(row) << 32) |
-                          (static_cast<std::uint64_t>(local_row ? 1 : 0) << 48);
+                          (static_cast<std::uint64_t>(row) << 32);
   engine_->schedule_at(now + reverse, *this, kFeedback, a,
                        static_cast<std::uint64_t>(sample));
 }
@@ -245,14 +224,7 @@ void QAdaptiveRouting::handle(Engine&, const Event& event) {
   const int router = static_cast<int>(event.a & 0xffff);
   const int port = static_cast<int>((event.a >> 16) & 0xffff);
   const int row = static_cast<int>((event.a >> 32) & 0xffff);
-  const bool local_row = ((event.a >> 48) & 1) != 0;
-  const double sample = static_cast<double>(event.b);
-  QTable& table = tables_[static_cast<std::size_t>(router)];
-  if (local_row) {
-    table.update_local(row, port, sample, params_.alpha);
-  } else {
-    table.update_global(row, port, sample, params_.alpha);
-  }
+  learn(router, row, port, static_cast<double>(event.b));
   ++feedback_signals_;
 }
 

@@ -1,11 +1,12 @@
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/config.hpp"
 #include "net/routing_iface.hpp"
-#include "routing/q_table.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "topo/dragonfly.hpp"
@@ -22,12 +23,6 @@ struct QAdaptiveParams {
   /// Equality (config round-trip tests).
   bool operator==(const QAdaptiveParams&) const = default;
 };
-
-/// The unloaded initial Q-table estimates depend only on topology and
-/// NetConfig, so they are precomputed once per system shape (SystemBlueprint
-/// shares one copy across every cell) and copied into each QAdaptiveRouting
-/// instance's mutable tables.
-std::vector<QTable> build_initial_qtables(const Dragonfly& topo, const NetConfig& cfg);
 
 /// Q-adaptive routing: multi-agent reinforcement-learning routing where each
 /// router keeps a two-level Q-table of estimated delivery times and forwards
@@ -47,17 +42,22 @@ std::vector<QTable> build_initial_qtables(const Dragonfly& topo, const NetConfig
 /// information* drives the choice: learned system-wide congestion instead of
 /// local queue depth.
 ///
-/// Const/mutable split: `params_` and the blueprint-shared initial estimates
-/// are immutable configuration; `tables_` (and the Rng / feedback counters)
-/// are the per-cell learning state that trains during the run.
+/// Q-tables (Kang, Wang, Lan — HPDC'21): each router holds a two-level
+/// table of remaining-delivery-time estimates (ps) per output port. Level 1
+/// ("to group") has one row per destination group; level 2 ("in group") one
+/// row per local index of the router's own group. All routers' tables live
+/// in one flat per-cell array, `[router][g group rows, then a local rows]
+/// [radix ports]`, so a router's rows are one base-pointer computation away.
+/// The constructor fills it with the unloaded estimates in closed form from
+/// the topology and NetConfig alone: nothing is shared between cells.
+///
+/// Const/mutable split: `params_` is immutable configuration; `tables_`
+/// (and the Rng / feedback counters) are the per-cell learning state that
+/// trains during the run.
 class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
  public:
-  /// `initial` (optional) is a blueprint-shared precomputed initial-table
-  /// set; pass nullptr to compute the unloaded estimates locally. The
-  /// resulting tables are identical either way.
   QAdaptiveRouting(Engine& engine, const Dragonfly& topo, const NetConfig& cfg,
-                   QAdaptiveParams params, std::uint64_t seed,
-                   const std::vector<QTable>* initial = nullptr);
+                   QAdaptiveParams params, std::uint64_t seed);
 
   std::string name() const override { return "Q-adp"; }
   RouteDecision route(Router& router, Packet& pkt) override;
@@ -65,11 +65,40 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
 
   void handle(Engine& engine, const Event& event) override;
 
-  const QTable& table(int router) const { return tables_[static_cast<std::size_t>(router)]; }
+  /// Router `router`'s estimate for leaving through `port` toward any node
+  /// of group `dest_group`.
+  double global_q(int router, int dest_group, int port) const {
+    return tables_[entry(router, dest_group, port)];
+  }
+  /// Router `router`'s estimate for leaving through `port` toward the router
+  /// with local index `dest_local` in its own group.
+  double local_q(int router, int dest_local, int port) const {
+    return tables_[entry(router, num_groups_ + dest_local, port)];
+  }
+
+  /// Folds one feedback sample into `router`'s estimate for `port` in `row`
+  /// (a group row below g, else local row `row - g`) by the exponential
+  /// moving average Q += alpha * (sample - Q). Returns the new estimate.
+  double learn(int router, int row, int port, double sample);
+
+  /// Bytes of every router's Q-table (the paper stresses they are light).
+  std::size_t footprint_bytes() const { return tables_.size() * sizeof(double); }
   const QAdaptiveParams& params() const { return params_; }
   std::uint64_t feedback_signals() const { return feedback_signals_; }
 
  private:
+  /// Index in `tables_` of `router`'s estimate for `port` in `row`.
+  std::size_t entry(int router, int row, int port) const {
+    return static_cast<std::size_t>(router) * router_stride_ +
+           static_cast<std::size_t>(row) * radix_ + static_cast<std::size_t>(port);
+  }
+
+  /// The row a router of group `my_group` reads toward `dst_router` (of group
+  /// `dst_group`): its local row inside the group, else the group's row.
+  int row_toward(int my_group, int dst_group, int dst_router) const {
+    return my_group == dst_group ? num_groups_ + topo_->local_index(dst_router) : dst_group;
+  }
+
   /// Best remaining-time estimate from `router` for a packet heading to
   /// destination router `dst` (phase-aware candidate set).
   double best_estimate(int router_id, int dst_router, const Packet& pkt) const;
@@ -86,10 +115,13 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
   const Dragonfly* topo_;
   const NetConfig* cfg_;
   const QAdaptiveParams params_;
+  const int num_groups_;
+  const std::size_t radix_;
+  const std::size_t router_stride_;  ///< (g + a) * radix entries per router
   // Mutable per-cell learning state.
   Engine* engine_;
   Rng rng_;
-  std::vector<QTable> tables_;
+  std::vector<double> tables_;
   mutable std::vector<int> scratch_;
   std::uint64_t feedback_signals_{0};
 };

@@ -21,6 +21,7 @@
 #include "core/json_report.hpp"
 #include "core/plan.hpp"
 #include "core/study.hpp"
+#include "routing/factory.hpp"
 #include "sim/rng.hpp"
 
 namespace dfly {
@@ -95,14 +96,8 @@ TEST(BlueprintKey, SeedScaleAndObservabilityAreNotShape) {
 }
 
 TEST(BlueprintKey, EveryShapeFieldChangesTheKey) {
-  // The key is exactly what the build reads: topology, net config, and
-  // whether the routing needs initial Q-tables.
+  // The key is exactly what the build reads: topology and net config.
   const BlueprintKey base = BlueprintKey::of(tiny_config());
-  {
-    StudyConfig c = tiny_config();
-    c.routing = "Q-adp";
-    EXPECT_FALSE(BlueprintKey::of(c) == base);
-  }
   {
     StudyConfig c = tiny_config();
     c.topo = DragonflyParams{2, 4, 2, 5};
@@ -130,7 +125,7 @@ TEST(BlueprintKey, PerturbationSweepCoversEveryField) {
   const std::vector<Perturbation> fields{
       {"topo", [](StudyConfig& c) { c.topo = DragonflyParams{2, 4, 2, 5}; }, true, true},
       {"net", [](StudyConfig& c) { c.net.buffer_packets = 7; }, true, true},
-      {"routing", [](StudyConfig& c) { c.routing = "Q-adp"; }, true, true},
+      {"routing", [](StudyConfig& c) { c.routing = "Q-adp"; }, false, true},
       {"placement", [](StudyConfig& c) { c.placement = PlacementPolicy::kContiguous; }, false,
        true},
       {"protocol", [](StudyConfig& c) { c.protocol.eager_threshold = 1024; }, false, true},
@@ -180,9 +175,6 @@ TEST(SystemBlueprint, BuildIsPureForEqualShapes) {
       EXPECT_EQ(a->port(r, p).latency, b->port(r, p).latency);
     }
   }
-  ASSERT_NE(a->initial_qtables(), nullptr);
-  ASSERT_NE(b->initial_qtables(), nullptr);
-  ASSERT_EQ(a->initial_qtables()->size(), b->initial_qtables()->size());
 }
 
 TEST(SystemBlueprint, PortPlanMatchesTopologyWiring) {
@@ -339,11 +331,6 @@ TEST(NetConfigValidation, BlueprintBuildAndStudyRunTheCheck) {
   }
 }
 
-TEST(SystemBlueprint, InitialQTablesOnlyForQAdaptive) {
-  EXPECT_EQ(SystemBlueprint::build(tiny_config("MIN"))->initial_qtables(), nullptr);
-  EXPECT_NE(SystemBlueprint::build(tiny_config("Q-adp"))->initial_qtables(), nullptr);
-}
-
 // --- cache -------------------------------------------------------------------
 
 TEST(BlueprintCache, SameShapeSharesOneSnapshot) {
@@ -363,20 +350,19 @@ TEST(BlueprintCache, DifferentShapesGetDifferentSnapshots) {
   StudyConfig other_machine = tiny_config("PAR");
   other_machine.topo = DragonflyParams{2, 4, 2, 5};
   const auto par = cache.get_or_build(tiny_config("PAR"));
-  const auto qadp = cache.get_or_build(tiny_config("Q-adp"));
+  const auto qadp = cache.get_or_build(tiny_config("Q-adp"));  // same machine
   const auto other = cache.get_or_build(other_machine);
-  EXPECT_NE(par, qadp);
+  EXPECT_EQ(par, qadp);
   EXPECT_NE(par, other);
-  EXPECT_NE(qadp, other);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(BlueprintCache, RoutingsWithoutQTablesShareOneSnapshot) {
   // Routing, placement, protocol, UGAL bias and faults are read by the cell,
-  // not by the blueprint build: all of these share the first build. Only
-  // Q-adp, whose blueprint carries initial Q-tables, needs a second.
+  // not by the blueprint build: all of these share the first build, Q-adp
+  // too (it fills its initial Q-tables per cell).
   BlueprintCache cache;
   const auto first = cache.get_or_build(tiny_config("MIN"));
   StudyConfig ugal = tiny_config("UGALg");
@@ -390,11 +376,31 @@ TEST(BlueprintCache, RoutingsWithoutQTablesShareOneSnapshot) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
 
-  const auto qadp = cache.get_or_build(tiny_config("Q-adp"));
-  EXPECT_NE(qadp, first);
-  EXPECT_NE(qadp->initial_qtables(), nullptr);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.get_or_build(tiny_config("Q-adp")), first);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(BlueprintCache, EveryRoutingSharesOneSnapshot) {
+  // The blueprint holds nothing routing-specific: every routing on one
+  // machine runs off the first build, byte-identical to a private one.
+  BlueprintCache cache;
+  std::vector<std::string> shared;
+  {
+    ScopedBlueprintCacheBinding binding(&cache);
+    for (const std::string& routing : routing::all_routings()) {
+      shared.push_back(report_to_json(run_cell(tiny_config(routing, 3), "UR", 16)));
+    }
+  }
+  ASSERT_EQ(routing::all_routings().size(), 9u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 8u);
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    const std::string& routing = routing::all_routings()[i];
+    EXPECT_EQ(shared[i], report_to_json(run_cell(tiny_config(routing, 3), "UR", 16))) << routing;
+  }
 }
 
 TEST(BlueprintCache, ThreadBindingNestsAndRestores) {
@@ -437,9 +443,11 @@ TEST(StudyBlueprint, ExplicitBlueprintIsUsedVerbatim) {
 }
 
 TEST(StudyBlueprint, ShapeMismatchThrows) {
-  // A PAR blueprint has no initial Q-tables, so a Q-adp cell must refuse it.
+  // A blueprint built for another net config must be refused.
   const auto bp = SystemBlueprint::build(tiny_config("PAR"));
-  EXPECT_THROW(Study(tiny_config("Q-adp"), nullptr, bp), std::invalid_argument);
+  StudyConfig other_net = tiny_config("PAR");
+  other_net.net.buffer_packets = 7;
+  EXPECT_THROW(Study(other_net, nullptr, bp), std::invalid_argument);
 }
 
 // --- output equivalence ------------------------------------------------------

@@ -183,6 +183,10 @@ struct QuiescenceCase {
   int qos_classes;
 };
 
+// Names the case in test listings instead of dumping its bytes, which hold
+// string-literal addresses and so differ from build to build.
+void PrintTo(const QuiescenceCase& c, std::ostream* os) { *os << c.name; }
+
 class CreditQuiescence : public ::testing::TestWithParam<QuiescenceCase> {};
 
 TEST_P(CreditQuiescence, EveryRouterIsBackToItsInitialState) {

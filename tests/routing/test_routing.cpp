@@ -23,7 +23,7 @@ class RoutingDelivery
 TEST_P(RoutingDelivery, RandomTrafficAllDelivered) {
   const auto& [name, params] = GetParam();
   Engine engine;
-  const auto bp = testsupport::make_blueprint(params, {}, name);
+  const auto bp = testsupport::make_blueprint(params);
   const Dragonfly& topo = bp->topo();
   const NetConfig& cfg = bp->net();
   routing::RoutingContext context{&engine, &topo, &cfg, 11};

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "core/blueprint.hpp"
 #include "core/study.hpp"
@@ -9,16 +8,12 @@
 namespace dfly::testsupport {
 
 /// Build a private SystemBlueprint for direct Network/Routing fixtures that
-/// bypass Study. The routing name only matters for blueprint extras (initial
-/// Q-tables when "Q-adp"); fixtures still instantiate their routing policy
-/// through the factory as before.
+/// bypass Study; fixtures instantiate their routing policy themselves.
 inline std::shared_ptr<const SystemBlueprint> make_blueprint(
-    DragonflyParams params = DragonflyParams::tiny(), NetConfig net = {},
-    const std::string& routing = "MIN") {
+    DragonflyParams params = DragonflyParams::tiny(), NetConfig net = {}) {
   StudyConfig config;
   config.topo = params;
   config.net = net;
-  config.routing = routing;
   return SystemBlueprint::build(config);
 }
 
