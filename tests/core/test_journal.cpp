@@ -54,8 +54,15 @@ TEST(Journal, FormatParseRoundTripsIncludingEscapedErrors) {
   record.completed = false;
   record.timeout = true;
   record.error = "bad \"quote\"\nand\ttab and\x01 control and back\\slash";
-  const std::optional<JournalRecord> parsed =
-      PlanJournal::parse_line(PlanJournal::format(record));
+  std::optional<JournalRecord> parsed = PlanJournal::parse_line(PlanJournal::format(record));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, record);
+
+  // Every byte JsonWriter escapes: each control character, '"' and '\'.
+  record.error.clear();
+  for (char c = 0x01; c < 0x20; ++c) record.error += c;
+  record.error += "\"\\";
+  parsed = PlanJournal::parse_line(PlanJournal::format(record));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, record);
 }
