@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -26,93 +27,19 @@ std::string hash_to_hex(std::uint64_t hash) {
   return buffer;
 }
 
-/// Scan `line` for `"name":` and return the character position just past the
-/// colon, or npos. Keys are emitted by format() and never appear inside the
-/// escaped error string with this exact quoted-colon spelling prefix-first,
-/// so a forward find of the FIRST occurrence is unambiguous for every field
-/// that precedes "error" (and "error" itself is located by its key).
-std::size_t value_pos(const std::string& line, const char* name) {
-  const std::string needle = '"' + std::string(name) + "\":";
-  const std::size_t at = line.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
+/// `text` read as a T in `base`; every character must be a digit of it.
+template <typename T>
+T to_number(const JsonReader& in, const std::string& text, int base = 10) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, base);
+  if (error != std::errc() || stop != end) in.fail("bad number '" + text + "'");
+  return value;
 }
 
-bool parse_u64_at(const std::string& line, std::size_t pos, std::uint64_t& out) {
-  if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') return false;
-  std::uint64_t value = 0;
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-    ++pos;
-  }
-  out = value;
-  return true;
-}
-
-bool parse_bool_at(const std::string& line, std::size_t pos, bool& out) {
-  if (line.compare(pos, 4, "true") == 0) {
-    out = true;
-    return true;
-  }
-  if (line.compare(pos, 5, "false") == 0) {
-    out = false;
-    return true;
-  }
-  return false;
-}
-
-/// Inverse of JsonWriter::escape for the subset it emits. Returns false on a
-/// malformed sequence or a missing closing quote (torn line).
-bool parse_string_at(const std::string& line, std::size_t pos, std::string& out) {
-  if (pos >= line.size() || line[pos] != '"') return false;
-  ++pos;
-  out.clear();
-  while (pos < line.size()) {
-    const char c = line[pos];
-    if (c == '"') return true;
-    if (c != '\\') {
-      out += c;
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= line.size()) return false;
-    const char esc = line[pos + 1];
-    pos += 2;
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        if (pos + 4 > line.size()) return false;
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = line[pos + static_cast<std::size_t>(i)];
-          value <<= 4;
-          if (h >= '0' && h <= '9') {
-            value |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        // JsonWriter only \u-escapes control characters (< 0x20); anything
-        // else would not round-trip through this byte-level decoder.
-        if (value > 0xff) return false;
-        out += static_cast<char>(value);
-        pos += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // no closing quote: torn write
+bool to_bool(const JsonReader& in, const std::string& text) {
+  if (text != "true" && text != "false") in.fail("expected true or false");
+  return text == "true";
 }
 
 }  // namespace
@@ -156,38 +83,39 @@ std::string PlanJournal::format(const JournalRecord& record) {
 }
 
 std::optional<JournalRecord> PlanJournal::parse_line(const std::string& line) {
-  JournalRecord record;
-  if (line.empty() || line.front() != '{' || line.back() != '}') return std::nullopt;
-
-  std::size_t pos = value_pos(line, "cell");
-  if (pos == std::string::npos || !parse_u64_at(line, pos, record.cell)) return std::nullopt;
-  pos = value_pos(line, "ok");
-  if (pos == std::string::npos || !parse_bool_at(line, pos, record.ok)) return std::nullopt;
-  pos = value_pos(line, "completed");
-  if (pos == std::string::npos || !parse_bool_at(line, pos, record.completed)) {
-    return std::nullopt;
+  try {
+    JsonReader in(line, "journal");
+    // format()'s eight fields in its order; `separator` opens each one.
+    const auto key = [&in](char separator, const char* name) {
+      in.expect(separator);
+      if (in.parse_string() != name) in.fail(std::string("expected key \"") + name + '"');
+      in.expect(':');
+    };
+    JournalRecord record;
+    key('{', "cell");
+    record.cell = to_number<std::uint64_t>(in, in.parse_scalar());
+    key(',', "ok");
+    record.ok = to_bool(in, in.parse_scalar());
+    key(',', "completed");
+    record.completed = to_bool(in, in.parse_scalar());
+    key(',', "hash");
+    const std::string hash = in.parse_string();
+    if (hash.size() != 16) in.fail("hash is not 16 hex digits");
+    record.hash = to_number<std::uint64_t>(in, hash, 16);
+    key(',', "attempts");
+    record.attempts = to_number<int>(in, in.parse_scalar());
+    key(',', "timeout");
+    record.timeout = to_bool(in, in.parse_scalar());
+    key(',', "offset");
+    record.offset = to_number<std::uint64_t>(in, in.parse_scalar());
+    key(',', "error");
+    record.error = in.parse_string();
+    in.expect('}');
+    if (!in.at_end() || line.back() != '}') in.fail("bytes after the record");
+    return record;
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;  // torn or corrupt
   }
-  pos = value_pos(line, "hash");
-  std::string hex;
-  if (pos == std::string::npos || !parse_string_at(line, pos, hex) || hex.size() != 16) {
-    return std::nullopt;
-  }
-  record.hash = std::strtoull(hex.c_str(), nullptr, 16);
-  pos = value_pos(line, "attempts");
-  std::uint64_t attempts = 0;
-  if (pos == std::string::npos || !parse_u64_at(line, pos, attempts)) return std::nullopt;
-  record.attempts = static_cast<int>(attempts);
-  pos = value_pos(line, "timeout");
-  if (pos == std::string::npos || !parse_bool_at(line, pos, record.timeout)) {
-    return std::nullopt;
-  }
-  pos = value_pos(line, "offset");
-  if (pos == std::string::npos || !parse_u64_at(line, pos, record.offset)) return std::nullopt;
-  pos = value_pos(line, "error");
-  if (pos == std::string::npos || !parse_string_at(line, pos, record.error)) {
-    return std::nullopt;
-  }
-  return record;
 }
 
 std::vector<JournalRecord> PlanJournal::recover(const std::string& path) {
@@ -215,6 +143,13 @@ std::vector<JournalRecord> PlanJournal::recover(const std::string& path) {
     good_end = start;
   }
   if (good_end != text.size()) truncate_file(path, good_end);
+  return records;
+}
+
+std::vector<JournalRecord> resume_output(const std::string& journal_path,
+                                        const std::string& output_path) {
+  std::vector<JournalRecord> records = PlanJournal::recover(journal_path);
+  truncate_file(output_path, records.empty() ? 0 : records.back().offset);
   return records;
 }
 

@@ -66,7 +66,8 @@ class PlanJournal {
 
   /// Serialise a record as its journal line (without the trailing newline).
   static std::string format(const JournalRecord& record);
-  /// Parse one journal line; std::nullopt when the line is malformed or
+  /// Parse one journal line: exactly format()'s eight fields, in its order,
+  /// and nothing after them. std::nullopt when the line is malformed or
   /// incomplete (a torn tail write).
   static std::optional<JournalRecord> parse_line(const std::string& line);
 
@@ -81,6 +82,14 @@ class PlanJournal {
   std::string path_;
   int fd_{-1};
 };
+
+/// The --resume step of the CLI and the daemon alike: recover
+/// `journal_path` (repairing a torn tail), then truncate `output_path` back
+/// to the last journaled offset (0 when no record survived), cutting any
+/// torn output tail so the output can be reopened for appending. Returns the
+/// journal's intact records, the cells the resumed campaign skips.
+std::vector<JournalRecord> resume_output(const std::string& journal_path,
+                                         const std::string& output_path);
 
 /// Truncate `path` to exactly `size` bytes (used by --resume to cut a torn
 /// output tail back to the last journaled offset). Throws std::runtime_error

@@ -160,6 +160,157 @@ std::string JsonWriter::escape(const std::string& raw) {
   return out;
 }
 
+void JsonReader::fail(const std::string& why) const {
+  throw std::invalid_argument(context_ + ": " + why + " at byte " + std::to_string(pos_));
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                 text_[pos_] == '\r' || text_[pos_] == '\n')) {
+    ++pos_;
+  }
+}
+
+bool JsonReader::at_end() {
+  skip_ws();
+  return pos_ >= text_.size();
+}
+
+char JsonReader::peek() {
+  skip_ws();
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void JsonReader::expect(char c) {
+  if (peek() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+bool JsonReader::consume(char c) {
+  if (at_end() || text_[pos_] != c) return false;
+  ++pos_;
+  return true;
+}
+
+std::string JsonReader::parse_string() {
+  expect('"');
+  std::string out;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == '"') {
+      ++pos_;
+      return out;
+    }
+    if (c != '\\') {
+      out += c;
+      ++pos_;
+      continue;
+    }
+    if (pos_ + 1 >= text_.size()) fail("truncated escape");
+    const char esc = text_[pos_ + 1];
+    pos_ += 2;
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned value = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_ + static_cast<std::size_t>(i)];
+          value <<= 4;
+          if (h >= '0' && h <= '9') {
+            value |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            value |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            value |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            fail("bad \\u escape");
+          }
+        }
+        // The reader is byte-oriented (plan files are ASCII/UTF-8 passed
+        // through verbatim); only control characters are \u-escaped.
+        if (value > 0xff) fail("\\u escape above 0xff unsupported");
+        out += static_cast<char>(value);
+        pos_ += 4;
+        break;
+      }
+      default: fail("unknown escape");
+    }
+  }
+  fail("unterminated string");
+}
+
+std::string JsonReader::parse_scalar() {
+  const char c = peek();
+  const std::size_t start = pos_;
+  if (c == '-' || (c >= '0' && c <= '9')) {
+    ++pos_;
+    const std::string_view number_chars = "0123456789.eE+-";
+    while (pos_ < text_.size() && number_chars.find(text_[pos_]) != std::string_view::npos) {
+      ++pos_;
+    }
+    return std::string(text_.substr(start, pos_ - start));
+  }
+  for (const char* word : {"true", "false", "null"}) {
+    const std::size_t len = std::strlen(word);
+    if (text_.compare(pos_, len, word) == 0) {
+      pos_ += len;
+      return word;
+    }
+  }
+  fail("unsupported value");
+}
+
+bool JsonReader::find_field(const std::string& key, std::string& out) {
+  const char open = peek();
+  if (open == '"') {
+    parse_string();
+    return false;
+  }
+  if (open != '{' && open != '[') {
+    parse_scalar();
+    return false;
+  }
+  const char close = open == '{' ? '}' : ']';
+  ++pos_;
+  if (consume(close)) return false;
+  for (;;) {
+    if (open == '{') {
+      const std::string name = parse_string();
+      expect(':');
+      if (name == key && peek() != '{' && peek() != '[') {
+        out = peek() == '"' ? parse_string() : parse_scalar();
+        return true;
+      }
+    }
+    if (find_field(key, out)) return true;
+    if (consume(close)) return false;
+    expect(',');
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> JsonReader::parse_string_object() {
+  std::vector<std::pair<std::string, std::string>> out;
+  expect('{');
+  if (consume('}')) return out;
+  for (;;) {
+    std::string key = parse_string();
+    expect(':');
+    std::string value = parse_string();
+    out.emplace_back(std::move(key), std::move(value));
+    if (consume('}')) return out;
+    expect(',');
+  }
+}
+
 namespace {
 
 void write_app(JsonWriter& w, const AppReport& app) {

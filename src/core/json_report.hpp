@@ -1,18 +1,21 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/study.hpp"
 #include "core/sweep.hpp"
 
-/// Machine-readable run output.
+/// Machine-readable run output, and the one JSON reader.
 ///
 /// Complements the IO module's CSV streams: where CSV carries bulk series
 /// (per-packet records, congestion matrices), the JSON report is the
 /// single-document summary of one run or one sweep — the thing a CI job or
 /// a plotting notebook ingests. Hand-rolled writer (no dependency), RFC 8259
-/// escaping, stable key order.
+/// escaping, stable key order. JsonReader reads back what JsonWriter writes:
+/// the daemon's requests and control lines, and the campaign journal.
 namespace dfly {
 
 /// Streaming JSON writer with container tracking; misuse (value outside a
@@ -50,6 +53,50 @@ class JsonWriter {
   std::vector<bool> first_;
   bool want_key_{false};
   bool has_pending_key_{false};
+};
+
+/// Minimal recursive-descent reader over one JSON text: the daemon's requests
+/// (one object of string keys whose values are strings, objects-of-strings
+/// or scalars), any value find_field walks, and journal lines. It decodes
+/// strings exactly as JsonWriter escaped them and builds no tree. Every error
+/// throws std::invalid_argument("<context>: <why> at byte N"). `text` must
+/// outlive the reader.
+class JsonReader {
+ public:
+  JsonReader(std::string_view text, std::string context)
+      : text_(text), context_(std::move(context)) {}
+
+  [[noreturn]] void fail(const std::string& why) const;
+
+  /// True when only whitespace is left.
+  bool at_end();
+  /// The next non-whitespace character; fails at the end of the text.
+  char peek();
+  /// Skip whitespace and `c`, which must come next.
+  void expect(char c);
+  /// Skip whitespace and `c` if it comes next; false otherwise.
+  bool consume(char c);
+
+  /// Read one string. Bytes pass through verbatim; a \u escape above 0xff
+  /// fails, since JsonWriter \u-escapes only control characters.
+  std::string parse_string();
+  /// Read one scalar value (number / true / false / null) as its text.
+  std::string parse_scalar();
+
+  /// Walk one value of any shape. When an object field named `key` with a
+  /// string or scalar value comes first in document order (at any depth),
+  /// store that value in `out` and return true, leaving the rest unread.
+  bool find_field(const std::string& key, std::string& out);
+
+  /// Parse {"k":"v",...} where every value must be a string.
+  std::vector<std::pair<std::string, std::string>> parse_string_object();
+
+ private:
+  void skip_ws();
+
+  std::string_view text_;
+  std::string context_;
+  std::size_t pos_{0};
 };
 
 /// Serialise a single run's Report.

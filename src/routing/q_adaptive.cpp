@@ -27,8 +27,9 @@ QAdaptiveRouting::QAdaptiveRouting(Engine& engine, const Dragonfly& topo, const 
       cfg_(&cfg),
       params_(params),
       num_groups_(topo.num_groups()),
-      radix_(static_cast<std::size_t>(topo.radix())),
-      router_stride_(static_cast<std::size_t>(topo.num_groups() + topo.params().a) * radix_),
+      first_port_(topo.first_local_port()),
+      row_width_(static_cast<std::size_t>(topo.radix() - first_port_)),
+      router_stride_(static_cast<std::size_t>(topo.num_groups() + topo.params().a) * row_width_),
       engine_(&engine),
       rng_(seed, 0x0ADA97151ull),
       tables_(static_cast<std::size_t>(topo.num_routers()) * router_stride_) {
@@ -36,21 +37,18 @@ QAdaptiveRouting::QAdaptiveRouting(Engine& engine, const Dragonfly& topo, const 
   // peer. Each sum is associated as written so that every double equals the
   // gateway-scan reference in tests/routing/test_qadaptive.cpp bit for bit.
   // The Dragonfly constructor requires a*h % (g-1) == 0, so every group pair
-  // has a link: only a terminal port is ever unreachable, never a router port.
+  // has a link: no router port is ever unreachable.
   const double lc = unloaded_hop_cost(cfg, false);
   const double gc = unloaded_hop_cost(cfg, true);
   const int g = num_groups_;
   const int a = topo.params().a;
   for (int r = 0; r < topo.num_routers(); ++r) {
     double* const base = tables_.data() + static_cast<std::size_t>(r) * router_stride_;
-    for (int port = 0; port < topo.radix(); ++port) {
+    for (int port = first_port_; port < topo.radix(); ++port) {
       const auto at = [&](int row) -> double& {
-        return base[static_cast<std::size_t>(row) * radix_ + static_cast<std::size_t>(port)];
+        return base[static_cast<std::size_t>(row) * row_width_ +
+                    static_cast<std::size_t>(port - first_port_)];
       };
-      if (topo.is_terminal_port(port)) {
-        for (int row = 0; row < g + a; ++row) at(row) = kUnreachable;
-        continue;
-      }
       const Dragonfly::Wire wire = topo.wire(r, port);
       const int peer = wire.peer_router;
       const double first = wire.global ? gc : lc;
@@ -150,13 +148,13 @@ RouteDecision QAdaptiveRouting::route(Router& router, Packet& pkt) {
     chosen = scratch_[rng_.next_below(scratch_.size())];
   } else {
     const double* row =
-        &tables_[entry(router.id(), row_toward(my_group, dst_group, dst_router), 0)];
+        &tables_[entry(router.id(), row_toward(my_group, dst_group, dst_router), first_port_)];
     const double ser = static_cast<double>(cfg_->packet_serialization());
     double best = std::numeric_limits<double>::infinity();
     chosen = scratch_.front();
     for (const int p : scratch_) {
-      const double score =
-          row[p] + params_.queue_weight * static_cast<double>(router.occupancy(p)) * ser;
+      const double score = row[p - first_port_] +
+                           params_.queue_weight * static_cast<double>(router.occupancy(p)) * ser;
       if (score < best) {
         best = score;
         chosen = p;
@@ -188,13 +186,15 @@ double QAdaptiveRouting::best_estimate(int router_id, int dst_router, const Pack
   const Dragonfly& topo = *topo_;
   const int dst_group = topo.group_of_router(dst_router);
   const int my_group = topo.group_of_router(router_id);
-  const double* row = &tables_[entry(router_id, row_toward(my_group, dst_group, dst_router), 0)];
+  const double* row =
+      &tables_[entry(router_id, row_toward(my_group, dst_group, dst_router), first_port_)];
   if (my_group == dst_group) {
-    return row[topo.local_port_to(router_id, topo.local_index(dst_router))];
+    return row[topo.local_port_to(router_id, topo.local_index(dst_router)) - first_port_];
   }
   // Minimum over the same candidate set route() would use.
   double best = kUnreachable;
-  for_each_admissible(router_id, dst_group, pkt, [&](int p) { best = std::min(best, row[p]); });
+  for_each_admissible(router_id, dst_group, pkt,
+                      [&](int p) { best = std::min(best, row[p - first_port_]); });
   return best;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -47,7 +48,9 @@ struct QAdaptiveParams {
 /// ("to group") has one row per destination group; level 2 ("in group") one
 /// row per local index of the router's own group. All routers' tables live
 /// in one flat per-cell array, `[router][g group rows, then a local rows]
-/// [radix ports]`, so a router's rows are one base-pointer computation away.
+/// [router ports]`, so a router's rows are one base-pointer computation away.
+/// A row has no column for the p terminal ports, which no packet ever leaves
+/// through on its way to another router.
 /// The constructor fills it with the unloaded estimates in closed form from
 /// the topology and NetConfig alone: nothing is shared between cells.
 ///
@@ -68,11 +71,13 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
   /// Router `router`'s estimate for leaving through `port` toward any node
   /// of group `dest_group`.
   double global_q(int router, int dest_group, int port) const {
+    assert(!topo_->is_terminal_port(port));
     return tables_[entry(router, dest_group, port)];
   }
   /// Router `router`'s estimate for leaving through `port` toward the router
   /// with local index `dest_local` in its own group.
   double local_q(int router, int dest_local, int port) const {
+    assert(!topo_->is_terminal_port(port));
     return tables_[entry(router, num_groups_ + dest_local, port)];
   }
 
@@ -87,10 +92,12 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
   std::uint64_t feedback_signals() const { return feedback_signals_; }
 
  private:
-  /// Index in `tables_` of `router`'s estimate for `port` in `row`.
+  /// Index in `tables_` of `router`'s estimate for router port `port` in
+  /// `row`.
   std::size_t entry(int router, int row, int port) const {
     return static_cast<std::size_t>(router) * router_stride_ +
-           static_cast<std::size_t>(row) * radix_ + static_cast<std::size_t>(port);
+           static_cast<std::size_t>(row) * row_width_ +
+           static_cast<std::size_t>(port - first_port_);
   }
 
   /// The row a router of group `my_group` reads toward `dst_router` (of group
@@ -116,8 +123,9 @@ class QAdaptiveRouting final : public RoutingAlgorithm, public Component {
   const NetConfig* cfg_;
   const QAdaptiveParams params_;
   const int num_groups_;
-  const std::size_t radix_;
-  const std::size_t router_stride_;  ///< (g + a) * radix entries per router
+  const int first_port_;             ///< the first router port, p
+  const std::size_t row_width_;      ///< router ports per row, radix - p
+  const std::size_t router_stride_;  ///< (g + a) * row_width_ entries per router
   // Mutable per-cell learning state.
   Engine* engine_;
   Rng rng_;

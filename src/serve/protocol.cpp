@@ -13,182 +13,8 @@
 
 namespace dfly::serve {
 
-namespace {
-
-/// Minimal recursive-descent JSON reader over the shapes the protocol uses:
-/// requests are one object of string keys whose values are strings,
-/// objects-of-strings, or scalars (read as their text); find_field walks
-/// any value to read one field of a control line or cell record. Kept
-/// deliberately smaller than a general JSON library — it builds no tree.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("request: " + why + " at byte " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\r' || text_[pos_] == '\n')) {
-      ++pos_;
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (at_end() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
-      if (pos_ + 1 >= text_.size()) fail("truncated escape");
-      const char esc = text_[pos_ + 1];
-      pos_ += 2;
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_ + static_cast<std::size_t>(i)];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // The protocol is byte-oriented (plan files are ASCII/UTF-8 passed
-          // through verbatim); only control characters are \u-escaped.
-          if (value > 0xff) fail("\\u escape above 0xff unsupported");
-          out += static_cast<char>(value);
-          pos_ += 4;
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  /// Read one scalar value (number / true / false / null) as its text.
-  std::string parse_scalar() {
-    const char c = peek();
-    const std::size_t start = pos_;
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      ++pos_;
-      while (pos_ < text_.size() &&
-             (std::strchr("0123456789.eE+-", text_[pos_]) != nullptr)) {
-        ++pos_;
-      }
-      return text_.substr(start, pos_ - start);
-    }
-    for (const char* word : {"true", "false", "null"}) {
-      const std::size_t len = std::strlen(word);
-      if (text_.compare(pos_, len, word) == 0) {
-        pos_ += len;
-        return word;
-      }
-    }
-    fail("unsupported value");
-  }
-
-  /// Walk one value of any shape. When an object field named `key` with a
-  /// string or scalar value comes first in document order (at any depth),
-  /// store that value in `out` and return true, leaving the rest unread.
-  bool find_field(const std::string& key, std::string& out) {
-    const char open = peek();
-    if (open == '"') {
-      parse_string();
-      return false;
-    }
-    if (open != '{' && open != '[') {
-      parse_scalar();
-      return false;
-    }
-    const char close = open == '{' ? '}' : ']';
-    ++pos_;
-    if (consume(close)) return false;
-    for (;;) {
-      if (open == '{') {
-        const std::string name = parse_string();
-        expect(':');
-        if (name == key && peek() != '{' && peek() != '[') {
-          out = peek() == '"' ? parse_string() : parse_scalar();
-          return true;
-        }
-      }
-      if (find_field(key, out)) return true;
-      if (consume(close)) return false;
-      expect(',');
-    }
-  }
-
-  /// Parse {"k":"v",...} where every value must be a string.
-  std::vector<std::pair<std::string, std::string>> parse_string_object() {
-    std::vector<std::pair<std::string, std::string>> out;
-    expect('{');
-    if (consume('}')) return out;
-    for (;;) {
-      std::string key = parse_string();
-      expect(':');
-      std::string value = parse_string();
-      out.emplace_back(std::move(key), std::move(value));
-      if (consume('}')) return out;
-      expect(',');
-    }
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_{0};
-};
-
-}  // namespace
-
 Request parse_request(const std::string& line) {
-  JsonReader in(line);
+  JsonReader in(line, "request");
   Request request;
   bool have_op = false;
   std::string mode;
@@ -259,7 +85,7 @@ bool is_control_line(const std::string& line) {
 }
 
 std::string control_field(const std::string& line, const std::string& key) {
-  JsonReader in(line);
+  JsonReader in(line, "request");
   std::string value;
   return in.find_field(key, value) ? value : "";
 }

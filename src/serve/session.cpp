@@ -136,15 +136,9 @@ void Campaign::run(SubmissionQueue& queue) {
     options.queue = &queue;
     options.cancel = &cancel_;
 
-    // Exactly the CLI's --journal/--resume sequence (docs/ROBUSTNESS.md):
-    // recover the journal (repairing any torn tail), truncate the output
-    // back to the last journaled byte, then append.
     std::vector<JournalRecord> resume_records;
     if (resume_) {
-      resume_records = PlanJournal::recover(journal_path());
-      const std::uint64_t offset =
-          resume_records.empty() ? 0 : resume_records.back().offset;
-      truncate_file(jsonl_path(), offset);
+      resume_records = resume_output(journal_path(), jsonl_path());
       options.resume = &resume_records;
     }
     JsonlSink jsonl(jsonl_path(), /*append=*/resume_);

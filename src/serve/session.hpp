@@ -15,8 +15,8 @@
 /// connection it streams results to (if any — a campaign resumed after a
 /// daemon restart has none), its cooperative cancel flag, and the live
 /// counters the `status` op reports. The driver body, run(), executes the
-/// plan through the exact journal/resume machinery the CLI uses (see
-/// docs/ROBUSTNESS.md), so a daemon killed with SIGKILL resumes every
+/// plan through the journal and the resume step (resume_output) the CLI
+/// uses (see docs/ROBUSTNESS.md), so a daemon killed with SIGKILL resumes every
 /// unfinished spool entry to byte-identical output on restart; cells execute
 /// on the server's shared SubmissionQueue so every campaign shares warm
 /// worker arenas and one BlueprintCache.

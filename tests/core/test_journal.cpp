@@ -1,7 +1,8 @@
 // Tests for the crash-safe campaign journal (core/journal.hpp): the record
 // format round-trips (including escaped error strings), every torn prefix of
-// a line is rejected, recover() repairs a torn tail in place, and
-// truncate_file cuts an output back to a journaled offset.
+// a line and every malformed line is rejected, recover() repairs a torn tail
+// in place, and resume_output and truncate_file cut an output back to a
+// journaled offset.
 
 #include "core/journal.hpp"
 
@@ -82,6 +83,57 @@ TEST(Journal, EveryTornPrefixOfALineIsRejected) {
   EXPECT_FALSE(PlanJournal::parse_line("{\"cell\":}").has_value());
 }
 
+/// sample_record()'s line with its one occurrence of `from` replaced by `to`.
+std::string edited_line(const std::string& from, const std::string& to) {
+  std::string line = PlanJournal::format(sample_record());
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? line : line.replace(at, from.size(), to);
+}
+
+// A line is intact only with format()'s eight fields in order and nothing
+// after them. The journal once read each of the first five lines below as a
+// record for cell 17.
+TEST(Journal, RejectsACellIndexThatOverflows) {
+  // 2^64 + 17 would wrap to cell 17.
+  EXPECT_FALSE(
+      PlanJournal::parse_line(edited_line("\"cell\":17", "\"cell\":18446744073709551633"))
+          .has_value());
+}
+
+TEST(Journal, RejectsAHashThatIsNotHex) {
+  // Read as hash 0, it made --resume stop with a false "plan changed" error.
+  EXPECT_FALSE(
+      PlanJournal::parse_line(edited_line("091ab00ffee12d34", "zzzzzzzzzzzzzzzz")).has_value());
+}
+
+TEST(Journal, RejectsACellIndexWithTrailingLetters) {
+  EXPECT_FALSE(
+      PlanJournal::parse_line(edited_line("\"cell\":17", "\"cell\":17abc")).has_value());
+}
+
+TEST(Journal, RejectsBytesAfterTheClosingBrace) {
+  // Two records run together, as when a newline is lost.
+  const std::string line = PlanJournal::format(sample_record());
+  EXPECT_FALSE(PlanJournal::parse_line(line + line).has_value());
+}
+
+TEST(Journal, RejectsKeysOutOfOrder) {
+  EXPECT_FALSE(PlanJournal::parse_line(edited_line("\"cell\":17,\"ok\":true",
+                                                   "\"ok\":true,\"cell\":17"))
+                   .has_value());
+}
+
+TEST(Journal, RejectsAMissingKey) {
+  EXPECT_FALSE(PlanJournal::parse_line(edited_line("\"attempts\":3,", "")).has_value());
+}
+
+TEST(Journal, RejectsAUnicodeEscapeAboveFF) {
+  EXPECT_FALSE(
+      PlanJournal::parse_line(edited_line("\"error\":\"\"", "\"error\":\"\\u0100\""))
+          .has_value());
+}
+
 TEST(Journal, AppendedRecordsRecoverInOrderAcrossReopens) {
   const std::string path = std::string(::testing::TempDir()) + "/dfly_journal_append.journal";
   std::remove(path.c_str());
@@ -140,6 +192,28 @@ TEST(Journal, RecoverDiscardsEverythingAfterACorruptLine) {
   EXPECT_EQ(PlanJournal::recover(path).size(), 1u);
   EXPECT_EQ(read_file(path), good);
   std::remove(path.c_str());
+}
+
+TEST(Journal, ResumeOutputCutsTheOutputToTheLastGoodOffset) {
+  const std::string journal = std::string(::testing::TempDir()) + "/dfly_resume_output.journal";
+  const std::string output = std::string(::testing::TempDir()) + "/dfly_resume_output.jsonl";
+  JournalRecord first = sample_record();
+  first.offset = 6;
+  JournalRecord second = sample_record();
+  second.cell = 18;
+  second.offset = 12;
+  const std::string intact =
+      PlanJournal::format(first) + "\n" + PlanJournal::format(second) + "\n";
+  write_file(journal, intact + "{\"cell\":19,\"ok\":tr");
+  write_file(output, "cell1\ncell2\ncell3-torn");
+
+  const std::vector<JournalRecord> records = resume_output(journal, output);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1], second);
+  EXPECT_EQ(read_file(journal), intact);
+  EXPECT_EQ(read_file(output), "cell1\ncell2\n");
+  std::remove(journal.c_str());
+  std::remove(output.c_str());
 }
 
 TEST(Journal, RecoverOfAMissingFileIsAFreshStart) {

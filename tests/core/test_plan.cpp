@@ -523,6 +523,34 @@ TEST(PlanParallelSharding, ShardUnionMergesByteIdenticalToFullRun) {
   std::remove(merged.c_str());
 }
 
+TEST(PlanSharding, MergeRejectsALineWithoutALeadingCellIndex) {
+  const std::string dir = ::testing::TempDir();
+  const std::string part = dir + "/dfly_shard_no_cell.jsonl";
+  write_file(part, "{\"cell\":0}\n{\"seed\":1,\"cell\":1}\n");
+  try {
+    merge_shard_jsonl({part}, dir + "/dfly_shard_no_cell_merged.jsonl", nullptr);
+    ADD_FAILURE() << "merged a line without a leading \"cell\" index";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "merge_shard_jsonl: " + part + ": line without a leading \"cell\" index");
+  }
+  std::remove(part.c_str());
+}
+
+TEST(PlanSharding, MergeRejectsANonNumericCellIndex) {
+  const std::string dir = ::testing::TempDir();
+  const std::string part = dir + "/dfly_shard_bad_cell.jsonl";
+  write_file(part, "{\"cell\":\"7\"}\n");
+  try {
+    merge_shard_jsonl({part}, dir + "/dfly_shard_bad_cell_merged.jsonl", nullptr);
+    ADD_FAILURE() << "merged a line with a non-numeric \"cell\" index";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "merge_shard_jsonl: " + part + ": malformed \"cell\" index");
+  }
+  std::remove(part.c_str());
+}
+
 // --- journal + resume --------------------------------------------------------
 
 TEST(PlanParallelResume, TornCrashStateResumesByteIdentical) {
@@ -561,13 +589,12 @@ TEST(PlanParallelResume, TornCrashStateResumesByteIdentical) {
                           PlanJournal::format(full_records[1]) + "\n" +
                           "{\"cell\":2,\"ok\":tr");
 
-  // recover() repairs the journal in place; the driver then truncates the
-  // output back to the last journaled offset, cutting the orphan tail.
-  const std::vector<JournalRecord> records = PlanJournal::recover(journal);
+  // resume_output repairs the journal in place and truncates the output
+  // back to the last journaled offset, cutting the orphan tail.
+  const std::vector<JournalRecord> records = resume_output(journal, jsonl);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], full_records[0]);
   EXPECT_EQ(records[1], full_records[1]);
-  truncate_file(jsonl, records.back().offset);
 
   PlanJournal log(journal);
   JsonlSink sink(jsonl, /*append=*/true);

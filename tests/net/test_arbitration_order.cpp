@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/study.hpp"
@@ -37,10 +39,29 @@ class Fnv1a {
 
 enum class Cell { kTinyBuffers, kQos, kDegraded };
 
-std::uint64_t run_and_digest(Cell cell, const std::string& routing) {
+struct PinnedCell {
+  Cell cell;
+  const char* routing;
+  int max_hops;  ///< the routing's longest router-to-router path
+  std::uint64_t digest;
+};
+
+std::string cell_name(const PinnedCell& pinned) {
+  static const char* const kCells[] = {"TinyBuffers", "Qos", "Degraded"};
+  return std::string(kCells[static_cast<int>(pinned.cell)]) + "_" + pinned.routing;
+}
+
+// Names the parameter in test output; without it GoogleTest prints the
+// struct's raw bytes, which include the address of `routing`.
+void PrintTo(const PinnedCell& pinned, std::ostream* out) { *out << cell_name(pinned); }
+
+// Runs `pinned`'s cell, checks that no packet took more router hops than its
+// routing's bound, and returns the digest.
+std::uint64_t run_and_digest(const PinnedCell& pinned) {
+  const Cell cell = pinned.cell;
   StudyConfig config;
   config.topo = DragonflyParams::tiny();
-  config.routing = routing;
+  config.routing = pinned.routing;
   config.seed = 7;
   config.observability.keep_packet_records = true;
   switch (cell) {
@@ -80,7 +101,9 @@ std::uint64_t run_and_digest(Cell cell, const std::string& routing) {
   digest.add(report.events_executed);
   const PacketLog& log = study.network().packet_log();
   digest.add(log.records().size());
+  int max_hops = 0;
   for (const PacketRecord& r : log.records()) {
+    max_hops = std::max(max_hops, static_cast<int>(r.hops));
     digest.add(static_cast<std::uint64_t>(r.src_node));
     digest.add(static_cast<std::uint64_t>(r.dst_node));
     digest.add(static_cast<std::uint64_t>(r.app_id));
@@ -100,54 +123,58 @@ std::uint64_t run_and_digest(Cell cell, const std::string& routing) {
   }
   // Every pinned cell must actually stall, or it pins no stall/unpark order.
   EXPECT_GT(total_stall, 0);
+  EXPECT_LE(max_hops, pinned.max_hops);
   return digest.value();
 }
-
-struct PinnedCell {
-  Cell cell;
-  const char* routing;
-  std::uint64_t digest;
-};
 
 // Recorded with the router that kept one RingQueue per request, stall and
 // input FIFO; any layout of router state must reproduce them exactly. A
 // change that moves one of these changed the router's service order. The
 // tiny-buffer cell runs every routing, so a change to one policy's decision
 // rule (or to a helper they share) shows up as well.
+//
+// The hop bounds are the routings' closed forms, counting router-to-router
+// hops (l = local, g = global):
+// - MIN: l g l = 3, the minimal path between groups;
+// - VALg, UGALg, Q-adp: l g, then l g l from the intermediate group's entry
+//   router = 5 (Valiant to a group: at most one local hop inside it);
+// - VALn, UGALn, PAR, FlowUGAL, AppAware: l g l to the intermediate router,
+//   then l g l = 6 (Valiant to a router). PAR's later diversion inside the
+//   source group leaves through that router's own global port, l g l g l,
+//   so it stays within the same bound.
 constexpr PinnedCell kPinned[] = {
-    {Cell::kTinyBuffers, "PAR", 0xcef9c9252d91a46eull},
-    {Cell::kTinyBuffers, "Q-adp", 0x52e1428928df1325ull},
-    {Cell::kTinyBuffers, "MIN", 0x3d37c493ed15032eull},
-    {Cell::kTinyBuffers, "VALg", 0x548d310ce1391fbull},
-    {Cell::kTinyBuffers, "VALn", 0x94f4a9507fc6d1bull},
-    {Cell::kTinyBuffers, "UGALg", 0x48907bc1823cdec6ull},
-    {Cell::kTinyBuffers, "UGALn", 0x4278c5ff5fa4c41eull},
-    {Cell::kTinyBuffers, "FlowUGAL", 0xb29f038008af0369ull},
-    {Cell::kTinyBuffers, "AppAware", 0x226983572b083929ull},
-    {Cell::kQos, "PAR", 0x85704c3e41571b45ull},
-    {Cell::kQos, "Q-adp", 0x67714de9d27e4757ull},
-    {Cell::kDegraded, "PAR", 0xd33d0f993c040bf4ull},
-    {Cell::kDegraded, "Q-adp", 0x865193913a46623dull},
+    {Cell::kTinyBuffers, "PAR", 6, 0xcef9c9252d91a46eull},
+    {Cell::kTinyBuffers, "Q-adp", 5, 0x52e1428928df1325ull},
+    {Cell::kTinyBuffers, "MIN", 3, 0x3d37c493ed15032eull},
+    {Cell::kTinyBuffers, "VALg", 5, 0x548d310ce1391fbull},
+    {Cell::kTinyBuffers, "VALn", 6, 0x94f4a9507fc6d1bull},
+    {Cell::kTinyBuffers, "UGALg", 5, 0x48907bc1823cdec6ull},
+    {Cell::kTinyBuffers, "UGALn", 6, 0x4278c5ff5fa4c41eull},
+    {Cell::kTinyBuffers, "FlowUGAL", 6, 0xb29f038008af0369ull},
+    {Cell::kTinyBuffers, "AppAware", 6, 0x226983572b083929ull},
+    {Cell::kQos, "PAR", 6, 0x85704c3e41571b45ull},
+    {Cell::kQos, "Q-adp", 5, 0x67714de9d27e4757ull},
+    {Cell::kDegraded, "PAR", 6, 0xd33d0f993c040bf4ull},
+    {Cell::kDegraded, "Q-adp", 5, 0x865193913a46623dull},
 };
 
 class ArbitrationOrder : public ::testing::TestWithParam<PinnedCell> {};
 
 TEST_P(ArbitrationOrder, PacketRecordsMatchPinnedDigest) {
   const PinnedCell& pinned = GetParam();
-  const std::uint64_t got = run_and_digest(pinned.cell, pinned.routing);
+  const std::uint64_t got = run_and_digest(pinned);
   EXPECT_EQ(got, pinned.digest) << std::hex << "got 0x" << got;
 }
 
-std::string cell_name(const ::testing::TestParamInfo<PinnedCell>& info) {
-  static const char* const kCells[] = {"TinyBuffers", "Qos", "Degraded"};
-  std::string routing = info.param.routing;
-  for (char& ch : routing) {
+std::string test_name(const ::testing::TestParamInfo<PinnedCell>& info) {
+  std::string name = cell_name(info.param);
+  for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
-  return std::string(kCells[static_cast<int>(info.param.cell)]) + "_" + routing;
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Pinned, ArbitrationOrder, ::testing::ValuesIn(kPinned), cell_name);
+INSTANTIATE_TEST_SUITE_P(Pinned, ArbitrationOrder, ::testing::ValuesIn(kPinned), test_name);
 
 }  // namespace
 }  // namespace dfly

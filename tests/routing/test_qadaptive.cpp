@@ -9,10 +9,10 @@
 namespace dfly {
 namespace {
 
-/// The unloaded estimate of leaving router `r` through `port` toward group
-/// `row` (row < g) or toward local index `row - g` of r's own group, by the
-/// original gateway scan: the reference the closed-form fill must match bit
-/// for bit.
+/// The unloaded estimate of leaving router `r` through router port `port`
+/// toward group `row` (row < g) or toward local index `row - g` of r's own
+/// group, by the original gateway scan: the reference the closed-form fill
+/// must match bit for bit.
 double reference_estimate(const Dragonfly& topo, const NetConfig& cfg, int r, int row, int port) {
   constexpr double kUnreachable = 1e18;
   const auto hop = [&](bool global) {
@@ -22,7 +22,6 @@ double reference_estimate(const Dragonfly& topo, const NetConfig& cfg, int r, in
   };
   const double lc = hop(false);
   const double gc = hop(true);
-  if (topo.is_terminal_port(port)) return kUnreachable;
   const Dragonfly::Wire wire = topo.wire(r, port);
   const double first = wire.global ? gc : lc;
   if (row >= topo.num_groups()) {
@@ -75,14 +74,14 @@ TEST(QTable, UpdateMovesTowardSample) {
 
 TEST(QTable, FootprintIsLightweight) {
   // The paper stresses a "light-weight two-level Q-table": for the 1,056-
-  // node system each router stores 33 groups x 15 ports + 8 locals x 15
-  // ports doubles — about 5KB.
+  // node system each router stores 33 groups x 11 router ports + 8 locals x
+  // 11 router ports doubles — about 3.5KB. Its 4 terminal ports get no column.
   Engine engine;
   const Dragonfly topo(DragonflyParams::paper());
   const NetConfig cfg;
   routing::QAdaptiveRouting algo(engine, topo, cfg, routing::QAdaptiveParams{}, 1);
   EXPECT_EQ(algo.footprint_bytes(),
-            static_cast<std::size_t>(topo.num_routers()) * (33 + 8) * 15 * sizeof(double));
+            static_cast<std::size_t>(topo.num_routers()) * (33 + 8) * 11 * sizeof(double));
   EXPECT_LT(algo.footprint_bytes() / static_cast<std::size_t>(topo.num_routers()), 8u * 1024u);
 }
 
@@ -184,7 +183,7 @@ TEST(QAdaptive, TrainingIsIncludedNoPretrainedState) {
   routing::QAdaptiveRouting fresh(e2, topo, cfg, params, 5);
   for (int r = 0; r < topo.num_routers(); ++r) {
     for (int g = 0; g < topo.num_groups(); ++g) {
-      for (int p = 0; p < topo.radix(); ++p) {
+      for (int p = topo.first_local_port(); p < topo.radix(); ++p) {
         EXPECT_EQ(fresh.global_q(r, g, p), reference_estimate(topo, cfg, r, g, p));
       }
     }
@@ -243,7 +242,7 @@ TEST(QAdaptive, InitialEstimatesMatchTheGatewayScanBitForBit) {
     const int g = topo.num_groups();
     for (int r = 0; r < topo.num_routers(); ++r) {
       for (int row = 0; row < g + topo.params().a; ++row) {
-        for (int port = 0; port < topo.radix(); ++port) {
+        for (int port = topo.first_local_port(); port < topo.radix(); ++port) {
           const double got = row < g ? algo.global_q(r, row, port) : algo.local_q(r, row - g, port);
           EXPECT_EQ(got, reference_estimate(topo, cfg, r, row, port))
               << shape.name << ": router " << r << " row " << row << " port " << port;

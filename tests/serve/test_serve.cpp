@@ -187,6 +187,9 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(serve::parse_request("{\"op\":\"status\"}"), std::invalid_argument);  // no id
   EXPECT_THROW(serve::parse_request("{\"op\":\"submit\",\"plan\":3}"), std::invalid_argument);
   EXPECT_THROW(serve::parse_request(""), std::invalid_argument);
+  // A NUL byte is not part of a number.
+  EXPECT_THROW(serve::parse_request(std::string("{\"op\":\"stats\",\"n\":1") + '\0' + "}"),
+               std::invalid_argument);
 }
 
 TEST(ServeProtocol, ControlLinePrefixSeparatesTheTwoStreams) {

@@ -413,14 +413,12 @@ int run_campaign(const CliOptions& options) {
   run_options.jobs = options.jobs;
   if (!options.shard.empty()) run_options.shard = parse_shard(options.shard);
 
-  // Journal / resume (docs/ROBUSTNESS.md). Order matters: recover the
-  // journal (repairing any torn tail), truncate the output back to the last
-  // journaled byte, and only then open the sink in append mode.
+  // Journal / resume (docs/ROBUSTNESS.md): resume_output repairs the
+  // journal and the output before the sink reopens the output for appending.
   std::vector<JournalRecord> resume_records;
   if (options.resume) {
-    resume_records = PlanJournal::recover(options.journal_path);
+    resume_records = resume_output(options.journal_path, options.jsonl_path);
     const std::uint64_t offset = resume_records.empty() ? 0 : resume_records.back().offset;
-    truncate_file(options.jsonl_path, offset);
     run_options.resume = &resume_records;
     std::fprintf(stderr, "resume: %zu journaled cell(s), output truncated to %llu bytes\n",
                  resume_records.size(), static_cast<unsigned long long>(offset));

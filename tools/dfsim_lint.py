@@ -79,7 +79,8 @@ ROUTING_STATE = {
     "QAdaptiveRouting": {
         "engine_": "event-loop handle for feedback events (per cell)",
         "rng_": "per-cell exploration stream, seeded from StudyConfig::seed",
-        "tables_": "one flat per-cell array, filled in closed form, that trains online",
+        "tables_": "one flat per-cell array of router-port estimates, filled in closed form, "
+        "that trains online",
         "feedback_signals_": "per-run counter surfaced by benches",
     },
     "AppAwareUgalRouting": {
